@@ -12,10 +12,10 @@ import (
 // The batched service layer: a SPECU fronting main memory must service
 // many outstanding L2 misses at once. Serve attaches a bounded worker pool
 // to the SPECU; the *Batch methods then dispatch through a shard-coalescing
-// scheduler — ops are grouped by shard and submitted as ONE pool task per
-// touched shard, so a run of same-shard ops pays the key snapshot and shard
-// lock once instead of once per op, and two runs never contend on the same
-// shard lock. Small batches and workers==1 pools take an inline sequential
+// scheduler — ops are grouped into ONE run per touched shard, so a run of
+// same-shard ops pays the key snapshot and shard lock once instead of once
+// per op, and two runs never contend on the same shard lock; the caller and
+// pool helper tasks drain the runs from a shared cursor. Small batches and workers==1 pools take an inline sequential
 // path so dispatch overhead can never lose to the plain sequential loop.
 // Without Serve the batch methods degrade to that same inline path, so
 // callers need not care which mode the unit is in.
@@ -136,70 +136,112 @@ func (s *SPECU) runBatch(ctx context.Context, ops *batchOps) {
 	root.End(int64(ops.n), 1)
 }
 
-// runCoalesced groups the batch's ops by shard with a counting sort (two
-// slice allocations, no comparison sort) and executes one run per touched
-// shard. Runs are offered to the pool with TrySubmit and claimed with a
-// CAS; the caller then claims whatever the workers have not picked up and
-// executes it itself. Every run has exactly one claimant, the caller never
-// blocks on a full queue (it helps instead), and a nested submission can
-// never deadlock. Within a run, ops execute in input order (the counting
-// sort is stable), so per-slot results are deterministic for any worker
-// count.
+// shardRun is one coalesced run: the batch ops order[lo:hi], all hashing
+// to shard si, in input order.
+type shardRun struct {
+	si     int
+	lo, hi int32
+}
+
+// runCursor is the shared work list of one coalesced batch. The caller and
+// its helper tasks all take runs from next; slots counts the helpers that
+// may still start, and wg the ones that did.
+type runCursor struct {
+	order []int32
+	runs  [NumShards]shardRun
+	nruns int32
+	next  atomic.Int32
+	slots atomic.Int32
+	wg    sync.WaitGroup
+}
+
+// claimSlot admits one helper task, or reports that the caller has already
+// cancelled every helper that had not started.
+func (c *runCursor) claimSlot() bool {
+	for {
+		n := c.slots.Load()
+		if n <= 0 {
+			return false
+		}
+		if c.slots.CompareAndSwap(n, n-1) {
+			return true
+		}
+	}
+}
+
+// drain executes runs from the shared cursor until none are left. byCaller
+// marks runs the batch's own goroutine executed: each counts as a pool
+// steal and is flagged on its trace span.
+func (c *runCursor) drain(ctx context.Context, s *SPECU, p *Pool, ops *batchOps, tc trace.Context, byCaller bool) {
+	for {
+		r := c.next.Add(1) - 1
+		if r >= c.nruns {
+			return
+		}
+		run := c.runs[r]
+		if byCaller {
+			p.NoteSteal()
+		}
+		s.runShard(ctx, run.si, c.order[run.lo:run.hi], ops, tc, byCaller)
+	}
+}
+
+// runCoalesced groups the batch's ops by shard with a counting sort (no
+// comparison sort) into one run per touched shard and drains the runs
+// through one shared cursor: the caller and at most Workers()-1 helper
+// tasks each take the next unclaimed run until none are left, so every
+// claimant stays busy until the batch's last run starts and no run waits
+// in a queue while a claimant is idle. Each run has
+// exactly one claimant, and within a run ops execute in input order (the
+// counting sort is stable), so per-slot results are deterministic for any
+// worker count.
+//
+// Helpers are claim-gated: once the caller finds the cursor empty it
+// cancels every helper slot no worker has started, then waits only for the
+// helpers that did start — and those are running, not queued. The caller
+// therefore never blocks on a task that needs a free worker, and a batch
+// issued from inside a pool task cannot deadlock.
 func (s *SPECU) runCoalesced(ctx context.Context, p *Pool, ops *batchOps, tc trace.Context) {
 	n := ops.n
-	sis := make([]uint8, n)
+	c := &runCursor{order: make([]int32, n)}
 	var counts [NumShards + 1]int32
 	for i := 0; i < n; i++ {
-		si := shardIndex(ops.addr(i))
-		sis[i] = uint8(si)
-		counts[si+1]++
+		counts[shardIndex(ops.addr(i))+1]++
 	}
 	for si := 1; si <= NumShards; si++ {
 		counts[si] += counts[si-1]
 	}
 	// counts[si] is now the start offset of shard si's run in order.
-	var next [NumShards]int32
-	for si := 0; si < NumShards; si++ {
-		next[si] = counts[si]
-	}
-	order := make([]int32, n)
+	next := counts
 	for i := 0; i < n; i++ {
-		si := sis[i]
-		order[next[si]] = int32(i)
+		si := shardIndex(ops.addr(i))
+		c.order[next[si]] = int32(i)
 		next[si]++
 	}
+	for si := 0; si < NumShards; si++ {
+		if counts[si] == counts[si+1] {
+			continue
+		}
+		c.runs[c.nruns] = shardRun{si: si, lo: counts[si], hi: counts[si+1]}
+		c.nruns++
+	}
 
-	var claimed [NumShards]atomic.Bool
-	var wg sync.WaitGroup
-	for si := 0; si < NumShards; si++ {
-		lo, hi := counts[si], counts[si+1]
-		if lo == hi {
-			continue
+	helpers := min(p.Workers()-1, int(c.nruns)-1)
+	c.slots.Store(int32(helpers))
+	c.wg.Add(helpers)
+	help := func() {
+		if c.claimSlot() {
+			c.drain(ctx, s, p, ops, tc, false)
+			c.wg.Done()
 		}
-		wg.Add(1)
-		si, run := si, order[lo:hi]
-		// A task that loses the claim exits without Done: exactly one
-		// claimant per run executes it and balances the WaitGroup, so a
-		// task still queued after the caller helped is a cheap no-op.
-		p.TrySubmit(func() {
-			if claimed[si].CompareAndSwap(false, true) {
-				s.runShard(ctx, si, run, ops, tc, false)
-				wg.Done()
-			}
-		})
 	}
-	for si := 0; si < NumShards; si++ {
-		if counts[si] == counts[si+1] || !claimed[si].CompareAndSwap(false, true) {
-			continue
-		}
-		// The caller claimed a run the workers did not get to (queue full
-		// or workers busy) — a "steal" in the pool's accounting, the
-		// signal the adaptive sizing policy consults.
-		p.NoteSteal()
-		s.runShard(ctx, si, order[counts[si]:counts[si+1]], ops, tc, true)
-		wg.Done()
+	for h := 0; h < helpers && p.TrySubmit(help); h++ {
 	}
-	wg.Wait()
+	c.drain(ctx, s, p, ops, tc, true)
+	// Cancel the helpers no worker has started, including any the full
+	// queue refused; a cancelled task still queued exits at claimSlot.
+	c.wg.Add(-int(c.slots.Swap(0)))
+	c.wg.Wait()
 }
 
 // runShard executes one coalesced run: every batch op that hashed to shard
@@ -255,7 +297,7 @@ func (s *SPECU) runShard(ctx context.Context, si int, run []int32, ops *batchOps
 }
 
 // WriteBatch stores every op's block, returning one error slot per op
-// (nil on success). Ops are coalesced into one task per touched shard when
+// (nil on success). Ops are coalesced into one run per touched shard when
 // the SPECU is serving, so distinct shards encrypt concurrently.
 func (s *SPECU) WriteBatch(ctx context.Context, ops []WriteOp) []error {
 	errs := make([]error, len(ops))

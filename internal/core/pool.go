@@ -12,7 +12,7 @@ import (
 
 // Pool is a bounded worker pool: a set of goroutines draining a fixed-depth
 // request queue. The SPECU uses one pool at two granularities — a batch's
-// ops are coalesced into one task per touched shard, and each block's
+// shard runs are drained by the caller plus helper tasks, and each block's
 // crossbars are fanned out as subtasks (falling back to inline execution
 // when the queue is saturated, so nested submission can never deadlock).
 //
@@ -39,7 +39,7 @@ type Pool struct {
 	depth    atomic.Int64 // tasks enqueued but not yet dequeued
 	pressure atomic.Int64 // consecutive enqueues that found every worker busy
 	done     atomic.Int64 // tasks a pool worker completed
-	steals   atomic.Int64 // submitted runs the caller claimed back (NoteSteal)
+	steals   atomic.Int64 // batch runs the caller executed itself (NoteSteal)
 
 	// tel, when non-nil, holds the pool-health instruments (SetTelemetry).
 	tel atomic.Pointer[poolTel]
@@ -50,8 +50,8 @@ type Pool struct {
 // busy with a backlog queued — so a single burst does not immediately spawn
 // the full cap; shrink is driven by idleness — a worker that drains nothing
 // for idleShrink retires, down to the pool's floor. The constants trade
-// reaction latency against thrash: at growPressure=2 a coalesced 64-op batch
-// reaches the cap within its first few shard-run submissions, while
+// reaction latency against thrash: at growPressure=2 a burst of helper and
+// crossbar fan-out submissions reaches the cap within a few enqueues, while
 // idleShrink is long enough that back-to-back batches never see a cold pool.
 const (
 	growPressure = 2
@@ -109,11 +109,12 @@ func (p *Pool) SetTelemetry(reg *telemetry.Registry) {
 	p.tel.Store(t)
 }
 
-// NoteSteal records that a submitted run was claimed back and executed by
-// its submitter — the queue was full or every worker was busy, so the
-// caller "stole" its own work rather than wait. A high steal rate means
-// submitted parallelism is not being realized by the worker set; the
-// adaptive sizing decision trail includes it for exactly that reason.
+// NoteSteal records that a coalesced batch's caller executed one of its
+// shard runs itself rather than a pool helper. The caller always drains
+// alongside its helpers, so on a pool of W workers a balanced batch steals
+// about 1/W of its runs; a rate near 1 means the helpers are not getting
+// worker time. The adaptive sizing decision trail includes it for that
+// reason.
 func (p *Pool) NoteSteal() {
 	p.steals.Add(1)
 	if t := p.tel.Load(); t != nil {
@@ -122,9 +123,10 @@ func (p *Pool) NoteSteal() {
 	}
 }
 
-// StealRate returns the fraction of completed runs that were stolen by
-// their submitter rather than executed by a pool worker: steals /
-// (steals + worker-completed tasks), 0 when nothing has run yet.
+// StealRate returns steals / (steals + tasks a pool worker completed), 0
+// when nothing has run yet. A helper task counts once however many runs it
+// drains, so the rate tracks the caller's share of the batch work rather
+// than an exact fraction of runs.
 func (p *Pool) StealRate() float64 {
 	st := p.steals.Load()
 	total := st + p.done.Load()

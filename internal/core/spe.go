@@ -131,10 +131,13 @@ type Block struct {
 	scratch   cryptScratch
 }
 
-// cryptScratch is the block's reusable crypt fan-out state. crypt runs under
-// the block's shard lock, so at most one fan-out is live per block and the
+// cryptScratch is the block's reusable crypt state. crypt runs under the
+// block's shard lock, so at most one crypt is live per block and the
 // buffers can be flat fields instead of per-call allocations (the dominant
-// allocation source on the sharded read path). tasks are built once in
+// allocation source on the sharded read path). scheds holds one reusable
+// schedule per crossbar, since the crossbars of one call may derive theirs
+// concurrently; with it a warm block encrypts and decrypts without
+// allocating. tasks are built once in
 // NewBlock and capture only (block, index); the per-call parameters live in
 // the struct, published to claimants by the claimed[i].Store(false) /
 // CompareAndSwap pair. A task left in the pool queue from a previous call
@@ -149,6 +152,7 @@ type cryptScratch struct {
 	errs    []error
 	claimed []atomic.Bool
 	tasks   []func()
+	scheds  []prng.Schedule
 	wg      sync.WaitGroup
 }
 
@@ -175,6 +179,7 @@ func (e *Engine) NewBlock(seed int64) (*Block, error) {
 	b.scratch.errs = make([]error, n)
 	b.scratch.claimed = make([]atomic.Bool, n)
 	b.scratch.tasks = make([]func(), n)
+	b.scratch.scheds = make([]prng.Schedule, n)
 	for i := range b.scratch.tasks {
 		i := i
 		// claimed starts false; mark every slot consumed so a task cannot
@@ -264,7 +269,8 @@ func (b *Block) Decrypt(key prng.Key, tweak uint64) error {
 // order for decryption. Crossbars of a block are independent (disjoint
 // cells, disjoint calibrations), which is what lets a pool fan them out.
 func (b *Block) cryptXbar(i int, key prng.Key, tweak uint64, decrypt bool) error {
-	sched := prng.DeriveSchedule(subKey(key, tweak, i), len(b.eng.Placement), device.NumPulses)
+	sched := &b.scratch.scheds[i]
+	prng.DeriveScheduleInto(sched, subKey(key, tweak, i), len(b.eng.Placement), device.NumPulses)
 	xb := b.xbs[i]
 	if decrypt {
 		for step := len(sched.Order) - 1; step >= 0; step-- {

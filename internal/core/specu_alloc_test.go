@@ -1,16 +1,21 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"testing"
+
+	"snvmm/internal/prng"
+	"snvmm/internal/telemetry/trace"
 )
 
 // TestShardedReadAllocRegression pins the allocation budget of a served
-// Parallel-mode read — the hot path of the sharded pipeline. The crypt
-// fan-out used to allocate its claim state (errs, claimed, five closures)
-// twice per read (decrypt + re-encrypt), which put the path at ~57 allocs;
-// the per-block reusable scratch brings it down to ~41. The ceiling leaves
-// slack for scheduling jitter but fails if the per-call allocations return.
+// Parallel-mode read — the hot path of the sharded pipeline. With the
+// per-block fan-out scratch and the allocation-free schedule derivation a
+// read allocates only its returned plaintext: 5 allocs (the block buffer
+// and one per crossbar read-out). The ceiling of 7 leaves 2 for scheduling
+// jitter but fails if any per-call crypt allocation returns (a derived
+// schedule alone costs 2 per crossbar crypt, 16 per read).
 func TestShardedReadAllocRegression(t *testing.T) {
 	s, addrs := benchSPECU(t, 16)
 	if err := s.Serve(context.Background(), 2, 64); err != nil {
@@ -30,8 +35,52 @@ func TestShardedReadAllocRegression(t *testing.T) {
 		}
 		i++
 	})
-	const ceiling = 44
+	const ceiling = 7
 	if avg > ceiling {
 		t.Errorf("sharded read allocates %.1f/op, ceiling %d", avg, ceiling)
+	}
+}
+
+// TestBlockCryptAllocFree pins the crypt kernel at zero allocations on a
+// warm block: schedules derive into the block's per-crossbar scratch, the
+// pulse path reuses the crossbar's tracker buffers, and the fan-out state
+// is the block's own. Both the inline path and the pool fan-out count.
+func TestBlockCryptAllocFree(t *testing.T) {
+	withProcs(t, 2)
+	e := engineForTest(t)
+	blk, err := e.NewBlock(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := make([]byte, BlockSize)
+	for i := range pt {
+		pt[i] = byte(i * 13)
+	}
+	if err := blk.WritePlain(pt); err != nil {
+		t.Fatal(err)
+	}
+	key := prng.NewKey(0xA110C, 0xF4EE)
+	pool := NewPool(2, 8)
+	defer pool.Close()
+	for _, p := range []*Pool{nil, pool} {
+		roundTrip := func() {
+			if err := blk.crypt(key, 0x40, false, p, trace.Context{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := blk.crypt(key, 0x40, true, p, trace.Context{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		roundTrip() // warm: schedules, tracker, journal
+		if avg := testing.AllocsPerRun(50, roundTrip); avg != 0 {
+			t.Errorf("pool=%v: warm Encrypt+Decrypt allocates %.1f/op, want 0", p != nil, avg)
+		}
+	}
+	got, err := blk.ReadPlain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, pt) {
+		t.Error("round trips did not restore the plaintext")
 	}
 }

@@ -10,6 +10,7 @@ package prng
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // SeedBits is the width of each PRNG seed (the paper's 44-bit halves).
@@ -103,13 +104,20 @@ type Gen struct {
 // registers densely. A zero result maps to a fixed nonzero constant so the
 // all-zero key runs.
 func NewGen(seed uint64) *Gen {
+	g := newGen(seed)
+	return &g
+}
+
+// newGen is NewGen by value: schedule derivation keeps its generators on
+// the stack.
+func newGen(seed uint64) Gen {
 	mix := func(x uint64) uint64 {
 		x += 0x9E3779B97F4A7C15
 		x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
 		x = (x ^ x>>27) * 0x94D049BB133111EB
 		return x ^ x>>31
 	}
-	g := &Gen{
+	g := Gen{
 		s1: mix(seed) % m61,
 		s2: mix(seed^0xA5A5A5A55A5A5A5A) % m61,
 	}
@@ -126,38 +134,33 @@ func NewGen(seed uint64) *Gen {
 	return g
 }
 
+// mulmod61 returns a*b mod 2^61-1 for a, b <= 2^61-1. The 122-bit product
+// splits at bit 61 into hi' = product>>61 and lo' = product&m61, and
+// 2^61 = 1 (mod m61) folds it to hi'+lo' < 2*m61: one conditional
+// subtract finishes the reduction.
 func mulmod61(a, b uint64) uint64 {
-	// 128-bit product reduced modulo 2^61-1 via hi/lo folding.
-	hi, lo := mul128(a, b)
-	// value = hi*2^64 + lo; 2^64 mod (2^61-1) = 8.
-	r := (lo & m61) + (lo >> 61) + hi*8%m61
-	for r >= m61 {
+	hi, lo := bits.Mul64(a, b)
+	r := (hi<<3 | lo>>61) + lo&m61
+	if r >= m61 {
 		r -= m61
 	}
 	return r
 }
 
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	carry := t >> 32
-	t = aHi*bLo + carry
-	u := t & mask
-	v := t >> 32
-	t = aLo*bHi + u
-	lo |= (t & mask) << 32
-	hi = aHi*bHi + v + t>>32
-	return
-}
-
 // step advances both LCGs with cross-coupling and returns 61 mixed bits.
+// Each update sums a residue below m61 and a term below 2^17, so one
+// conditional subtract reduces it exactly.
 func (g *Gen) step() uint64 {
-	g.s1 = (mulmod61(a1, g.s1) + c1 + g.s2%1024) % m61
-	g.s2 = (mulmod61(a2, g.s2) + c2 + g.s1%1024) % m61
-	return g.s1 ^ (g.s2 << 3) ^ (g.s2 >> 7)
+	s1 := mulmod61(a1, g.s1) + c1 + g.s2%1024
+	if s1 >= m61 {
+		s1 -= m61
+	}
+	s2 := mulmod61(a2, g.s2) + c2 + s1%1024
+	if s2 >= m61 {
+		s2 -= m61
+	}
+	g.s1, g.s2 = s1, s2
+	return s1 ^ (s2 << 3) ^ (s2 >> 7)
 }
 
 // Uint64 returns 64 pseudorandom bits.
@@ -198,14 +201,20 @@ func (g *Gen) Bits(dst []uint8) {
 // Perm returns a pseudorandom permutation of [0, n) via Fisher-Yates.
 func (g *Gen) Perm(n int) []int {
 	p := make([]int, n)
+	g.permInto(p)
+	return p
+}
+
+// permInto fills p with a pseudorandom permutation of [0, len(p)), drawing
+// exactly the values Perm(len(p)) draws.
+func (g *Gen) permInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(p) - 1; i > 0; i-- {
 		j := g.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }
 
 // Schedule derives the SPE pulse program for one crossbar from the key:
@@ -219,14 +228,26 @@ type Schedule struct {
 // numClasses distinct pulses. The address seed orders the PoEs; the voltage
 // seed selects pulse classes — mirroring the two PRNG+LUT paths of Fig. 1b.
 func DeriveSchedule(k Key, nPoE, numClasses int) Schedule {
-	ag := NewGen(k.Address)
-	vg := NewGen(k.Voltage)
-	s := Schedule{
-		Order:   ag.Perm(nPoE),
-		Classes: make([]int, nPoE),
+	var s Schedule
+	DeriveScheduleInto(&s, k, nPoE, numClasses)
+	return s
+}
+
+// DeriveScheduleInto is DeriveSchedule writing into s, reusing its Order
+// and Classes arrays when they have the capacity: the per-pulse-train form,
+// allocation-free once s has been filled for nPoE points.
+func DeriveScheduleInto(s *Schedule, k Key, nPoE, numClasses int) {
+	if cap(s.Order) < nPoE {
+		s.Order = make([]int, nPoE)
 	}
+	if cap(s.Classes) < nPoE {
+		s.Classes = make([]int, nPoE)
+	}
+	s.Order, s.Classes = s.Order[:nPoE], s.Classes[:nPoE]
+	ag := newGen(k.Address)
+	ag.permInto(s.Order)
+	vg := newGen(k.Voltage)
 	for i := range s.Classes {
 		s.Classes[i] = vg.Intn(numClasses)
 	}
-	return s
 }

@@ -3,6 +3,9 @@ package prng
 import (
 	"bytes"
 	"math"
+	"math/big"
+	"math/bits"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -255,6 +258,8 @@ func TestMulmod61(t *testing.T) {
 		{1, m61 - 1, m61 - 1},
 		{2, 1 << 60, (1 << 61) % m61},
 		{m61 - 1, m61 - 1, 1}, // (-1)*(-1) = 1 mod p
+		{m61, m61, 0},
+		{m61, 1, 0},
 	}
 	for _, c := range cases {
 		if got := mulmod61(c[0], c[1]); got != c[2] {
@@ -263,14 +268,133 @@ func TestMulmod61(t *testing.T) {
 	}
 }
 
-func TestMul128(t *testing.T) {
-	hi, lo := mul128(^uint64(0), ^uint64(0))
-	// (2^64-1)^2 = 2^128 - 2^65 + 1.
-	if hi != ^uint64(0)-1 || lo != 1 {
-		t.Errorf("mul128 max = (%d, %d)", hi, lo)
+// TestMulmod61Big checks the bits.Mul64 fold against math/big over random
+// operands in [0, m61], biased toward the top of the range where the
+// conditional subtract fires.
+func TestMulmod61Big(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	mod := new(big.Int).SetUint64(m61)
+	prod := new(big.Int)
+	for i := 0; i < 20000; i++ {
+		a, b := rng.Uint64()%(m61+1), rng.Uint64()%(m61+1)
+		if i%4 == 0 {
+			a, b = m61-a%1024, m61-b%1024
+		}
+		want := prod.Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
+		want.Mod(want, mod)
+		if got := mulmod61(a, b); got != want.Uint64() {
+			t.Fatalf("mulmod61(%d, %d) = %d, want %d", a, b, got, want.Uint64())
+		}
 	}
-	hi, lo = mul128(1<<32, 1<<32)
-	if hi != 1 || lo != 0 {
-		t.Errorf("mul128(2^32,2^32) = (%d,%d), want (1,0)", hi, lo)
+}
+
+// refGen is the coupled LCG as originally specified: a full 128-bit
+// product reduced with bits.Rem64 and every update reduced with %. The
+// production Gen must reproduce its stream exactly.
+type refGen struct{ s1, s2 uint64 }
+
+func newRefGen(seed uint64) *refGen {
+	mix := func(x uint64) uint64 {
+		x += 0x9E3779B97F4A7C15
+		x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+		x = (x ^ x>>27) * 0x94D049BB133111EB
+		return x ^ x>>31
+	}
+	g := &refGen{s1: mix(seed) % m61, s2: mix(seed^0xA5A5A5A55A5A5A5A) % m61}
+	if g.s1 == 0 {
+		g.s1 = 0x1234567
+	}
+	if g.s2 == 0 {
+		g.s2 = 0x89ABCDE
+	}
+	for i := 0; i < 16; i++ {
+		g.step()
+	}
+	return g
+}
+
+func refMulmod(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return bits.Rem64(hi, lo, m61)
+}
+
+func (g *refGen) step() uint64 {
+	g.s1 = (refMulmod(a1, g.s1) + c1 + g.s2%1024) % m61
+	g.s2 = (refMulmod(a2, g.s2) + c2 + g.s1%1024) % m61
+	return g.s1 ^ (g.s2 << 3) ^ (g.s2 >> 7)
+}
+
+func (g *refGen) intn(n int) int {
+	bound := uint64(n)
+	limit := ^uint64(0) - ^uint64(0)%bound
+	for {
+		v := g.step()<<32 ^ g.step()
+		if v < limit {
+			return int(v % bound)
+		}
+	}
+}
+
+func refSchedule(k Key, nPoE, numClasses int) Schedule {
+	ag, vg := newRefGen(k.Address), newRefGen(k.Voltage)
+	s := Schedule{Order: make([]int, nPoE), Classes: make([]int, nPoE)}
+	for i := range s.Order {
+		s.Order[i] = i
+	}
+	for i := nPoE - 1; i > 0; i-- {
+		j := ag.intn(i + 1)
+		s.Order[i], s.Order[j] = s.Order[j], s.Order[i]
+	}
+	for i := range s.Classes {
+		s.Classes[i] = vg.intn(numClasses)
+	}
+	return s
+}
+
+// TestDeriveScheduleIntoMatchesReference derives schedules with one reused
+// Schedule over more than 10k keys — every one- and two-bit low-density key
+// of Section 6.1 plus random dense keys — and checks each against the
+// reference LCG and against DeriveSchedule. The PoE count cycles through
+// several sizes, so a reused buffer that is shrunk, regrown or left with
+// stale entries would show.
+func TestDeriveScheduleIntoMatchesReference(t *testing.T) {
+	var keys []Key
+	for i := 0; i < KeyBits; i++ {
+		keys = append(keys, NewKey(0, 0).FlipBit(i))
+		for j := i + 1; j < KeyBits; j++ {
+			keys = append(keys, NewKey(0, 0).FlipBit(i).FlipBit(j))
+		}
+	}
+	rng := rand.New(rand.NewSource(88))
+	for len(keys) < 10500 {
+		keys = append(keys, NewKey(rng.Uint64(), rng.Uint64()))
+	}
+	keys = append(keys, NewKey(0, 0), NewKey(^uint64(0), ^uint64(0)))
+	sizes := []int{16, 37, 1, 16, 9}
+	var s Schedule
+	for i, k := range keys {
+		n := sizes[i%len(sizes)]
+		DeriveScheduleInto(&s, k, n, 32)
+		ref := refSchedule(k, n, 32)
+		pub := DeriveSchedule(k, n, 32)
+		if len(s.Order) != n || len(s.Classes) != n {
+			t.Fatalf("key %+v: schedule sizes %d/%d, want %d", k, len(s.Order), len(s.Classes), n)
+		}
+		for j := 0; j < n; j++ {
+			if s.Order[j] != ref.Order[j] || s.Classes[j] != ref.Classes[j] ||
+				pub.Order[j] != ref.Order[j] || pub.Classes[j] != ref.Classes[j] {
+				t.Fatalf("key %+v step %d: into (%d,%d) public (%d,%d) reference (%d,%d)", k, j,
+					s.Order[j], s.Classes[j], pub.Order[j], pub.Classes[j], ref.Order[j], ref.Classes[j])
+			}
+		}
+	}
+}
+
+func TestDeriveScheduleIntoAllocFree(t *testing.T) {
+	var s Schedule
+	k := NewKey(0xABC, 0xDEF)
+	DeriveScheduleInto(&s, k, 16, 32)
+	if allocs := testing.AllocsPerRun(100, func() { DeriveScheduleInto(&s, k, 16, 32) }); allocs != 0 {
+		t.Errorf("DeriveScheduleInto on a warm schedule allocates %v/op, want 0", allocs)
 	}
 }

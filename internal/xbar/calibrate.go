@@ -63,9 +63,10 @@ type poeCal struct {
 	started atomic.Bool
 	done    atomic.Bool
 
-	shape   []Cell
-	inShape []bool
-	base    []float64
+	shape    []Cell
+	shapeIdx []int32 // linear index of each shape cell
+	inShape  []bool
+	base     []float64
 
 	// Quantized sensitivity kernel: compIdx lists the complement cells
 	// (ascending) that any shape cell is sensitive to; compPos inverts it
@@ -114,10 +115,11 @@ const calSamples = 512
 // ensure computes the calibration record for one PoE, exactly once even
 // under concurrent first touch.
 func (c *Calibration) ensure(poe Cell) error {
-	if !c.cfg.InBounds(poe) {
+	pi := c.poeIndex(poe)
+	if pi < 0 {
 		return fmt.Errorf("xbar: PoE %+v out of bounds", poe)
 	}
-	pc := &c.poes[c.cfg.Index(poe)]
+	pc := &c.poes[pi]
 	if t := xtel.Load(); t != nil && !pc.done.Load() {
 		// Whoever flips started owns the build; everyone else arriving
 		// before done is a singleflight waiter (an approximation — a racer
@@ -133,15 +135,36 @@ func (c *Calibration) ensure(poe Cell) error {
 	return pc.err
 }
 
+// poeIndex returns the linear index of poe, or -1 when it lies outside the
+// array. It reads the geometry through the pointer: the pulse path calls
+// it per pulse, and Config's value-receiver methods copy the whole struct.
+func (c *Calibration) poeIndex(poe Cell) int {
+	rows, cols := c.cfg.Rows, c.cfg.Cols
+	if poe.Row < 0 || poe.Row >= rows || poe.Col < 0 || poe.Col >= cols {
+		return -1
+	}
+	return poe.Row*cols + poe.Col
+}
+
 // build does the actual per-PoE characterization work, dispatching between
 // the legacy dense path (one factorization per PoE; bit-for-bit stable, it
 // backs the 8x8 golden vectors) and the shared-sketch path that makes
 // 32x32+ devices tractable (see calibrate_sparse.go).
 func (c *Calibration) build(poe Cell, pc *poeCal) error {
+	var err error
 	if c.useSketch() {
-		return c.buildSketch(poe, pc)
+		err = c.buildSketch(poe, pc)
+	} else {
+		err = c.buildDense(poe, pc)
 	}
-	return c.buildDense(poe, pc)
+	if err != nil {
+		return err
+	}
+	pc.shapeIdx = make([]int32, len(pc.shape))
+	for k, cell := range pc.shape {
+		pc.shapeIdx[k] = int32(cell.Row*c.cfg.Cols + cell.Col)
+	}
+	return nil
 }
 
 // sparseCutoff is the cell count above which CharAuto selects the sketch
@@ -323,17 +346,43 @@ func (c *Calibration) Shape(poe Cell) ([]Cell, error) {
 }
 
 // deviationsInto computes, per shape cell, the exact integer deviation
-// accumulator sum_j wflat[k][j] * (2*level-3) from scratch. Integer
-// addition is associative, so this agrees bit-for-bit with any incremental
-// maintenance of the same quantity — the property decryption relies on.
-func (pc *poeCal) deviationsInto(dst []int64, levels []int) {
-	for k, row := range pc.wflat {
-		var d int64
-		for j, m := range pc.compIdx {
-			d += row[j] * levelQ(levels[m])
-		}
-		dst[k] = d
+// accumulator sum_j wflat[k][j] * (2*level-3) from scratch. The level
+// coordinates of the complement cells are gathered into q once, not once
+// per shape cell; q is grown when short and returned for reuse (nil is
+// fine). Integer addition is associative (wrapping included), so the split
+// accumulators of dotQ agree bit-for-bit with any other summation order and
+// with incremental maintenance of the same quantity — the property
+// decryption relies on.
+func (pc *poeCal) deviationsInto(dst []int64, levels []int, q []int64) []int64 {
+	n := len(pc.compIdx)
+	if cap(q) < n {
+		q = make([]int64, n)
 	}
+	q = q[:n]
+	for j, m := range pc.compIdx {
+		q[j] = levelQ(levels[m])
+	}
+	for k, row := range pc.wflat {
+		dst[k] = dotQ(row, q)
+	}
+	return q
+}
+
+// dotQ returns the int64 dot product of a weight row and the gathered level
+// coordinates (len(q) >= len(w)), with two independent accumulators so
+// consecutive multiply-adds do not serialize on one register.
+func dotQ(w, q []int64) int64 {
+	q = q[:len(w)]
+	var d0, d1 int64
+	j := 0
+	for ; j+1 < len(w); j += 2 {
+		d0 += w[j] * q[j]
+		d1 += w[j+1] * q[j+1]
+	}
+	if j < len(w) {
+		d0 += w[j] * q[j]
+	}
+	return d0 + d1
 }
 
 // deviations returns the per-shape-cell sneak-voltage deviations in volts.
@@ -346,7 +395,7 @@ func (c *Calibration) deviations(levels []int, poe Cell) ([]float64, error) {
 		return nil, fmt.Errorf("xbar: deviations needs %d levels, got %d", c.cfg.Cells(), len(levels))
 	}
 	acc := make([]int64, len(pc.shape))
-	pc.deviationsInto(acc, levels)
+	pc.deviationsInto(acc, levels, nil)
 	out := make([]float64, len(acc))
 	for k, d := range acc {
 		out[k] = float64(d) * devInvScale
@@ -406,7 +455,7 @@ func (c *Calibration) Mixers(levels []int, poe Cell) ([]uint64, error) {
 		return nil, fmt.Errorf("xbar: Mixers needs %d levels, got %d", c.cfg.Cells(), len(levels))
 	}
 	acc := make([]int64, len(pc.shape))
-	pc.deviationsInto(acc, levels)
+	pc.deviationsInto(acc, levels, nil)
 	out := make([]uint64, len(acc))
 	c.mixersInto(out, pi, pc, acc)
 	return out, nil

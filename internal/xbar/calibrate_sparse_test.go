@@ -150,8 +150,8 @@ func TestTruncatedDeviationsBitIdentical(t *testing.T) {
 			}
 			dT := make([]int64, len(pcT.shape))
 			dF := make([]int64, len(pcF.shape))
-			pcT.deviationsInto(dT, levels)
-			pcF.deviationsInto(dF, levels)
+			pcT.deviationsInto(dT, levels, nil)
+			pcF.deviationsInto(dF, levels, nil)
 			for k := range dT {
 				if dT[k] != dF[k] {
 					t.Fatalf("%dx%d trial %d shape %d: deviation %d vs %d", size.rows, size.cols, trial, k, dT[k], dF[k])

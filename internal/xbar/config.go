@@ -27,6 +27,7 @@ package xbar
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"snvmm/internal/device"
 )
@@ -211,10 +212,38 @@ func (c Config) PaperShape(poe Cell) []Cell {
 }
 
 // cellParams materializes the per-cell device parameters, applying the
-// fabrication variation deterministically from the seed.
+// fabrication variation deterministically from the seed. Without variation
+// every cell is the nominal device whatever the seed, so the slice is
+// shared read-only between all crossbars of one (cell count, device) — a
+// memory of thousands of crossbars then holds one copy instead of one per
+// crossbar. Callers must not write the result.
 func (c Config) cellParams() []device.Params {
-	return c.cellParamsInto(nil)
+	if c.VarFrac > 0 {
+		return c.cellParamsInto(nil)
+	}
+	key := nominalKey{cells: c.Cells(), dev: c.Device}
+	nominalParams.mu.Lock()
+	defer nominalParams.mu.Unlock()
+	ps, ok := nominalParams.m[key]
+	if !ok {
+		ps = c.cellParamsInto(nil)
+		nominalParams.m[key] = ps
+	}
+	return ps
 }
+
+// nominalKey identifies one shared unvaried parameter slice.
+type nominalKey struct {
+	cells int
+	dev   device.Params
+}
+
+// nominalParams holds the shared unvaried parameter slices (see
+// cellParams), like calCache does for calibrations.
+var nominalParams = struct {
+	mu sync.Mutex
+	m  map[nominalKey][]device.Params
+}{m: make(map[nominalKey][]device.Params)}
 
 // cellParamsInto is cellParams writing into dst when it has the capacity —
 // the allocation-free form for sweeps that rematerialize parameters per

@@ -10,7 +10,7 @@ import (
 // Crossbar is one 1T1M array instance with quantized MLC state.
 type Crossbar struct {
 	Cfg    Config
-	params []device.Params // per-cell (fabrication-varied) parameters
+	params []device.Params // per-cell (fabrication-varied) parameters; read-only, shared when unvaried
 	levels []int           // per-cell MLC level, row-major
 	wear   []uint64        // per-cell pulse count, for endurance studies
 	trk    *devTracker     // incremental deviation state for the pulse path
@@ -62,7 +62,7 @@ func (x *Crossbar) Wear() []uint64 {
 
 // BlockBytes is the data capacity of one crossbar in bytes: each cell stores
 // 2 bits, row-major, least-significant pair first within a byte.
-func (x *Crossbar) BlockBytes() int { return x.Cfg.Cells() / 4 }
+func (x *Crossbar) BlockBytes() int { return len(x.levels) / 4 }
 
 // WriteBlock programs plaintext data into the array (the paper's write
 // phase: a normal MLC write with sneak paths suppressed). data must be
@@ -71,7 +71,7 @@ func (x *Crossbar) WriteBlock(data []byte) error {
 	if len(data) != x.BlockBytes() {
 		return fmt.Errorf("xbar: WriteBlock needs %d bytes, got %d", x.BlockBytes(), len(data))
 	}
-	for i := 0; i < x.Cfg.Cells(); i++ {
+	for i := range x.levels {
 		bits := data[i/4] >> uint((i%4)*2) & 0x3
 		x.levels[i] = device.BitsLevel(bits)
 		x.wear[i]++
@@ -84,8 +84,8 @@ func (x *Crossbar) WriteBlock(data []byte) error {
 // stored bits.
 func (x *Crossbar) ReadBlock() []byte {
 	out := make([]byte, x.BlockBytes())
-	for i := 0; i < x.Cfg.Cells(); i++ {
-		out[i/4] |= device.LevelBits(x.levels[i]) << uint((i%4)*2)
+	for i, l := range x.levels {
+		out[i/4] |= device.LevelBits(l) << uint((i%4)*2)
 	}
 	return out
 }

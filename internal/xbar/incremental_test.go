@@ -1,6 +1,7 @@
 package xbar
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -47,15 +48,65 @@ func TestIncrementalDeviationsMatchScratch(t *testing.T) {
 				continue // never pulsed yet
 			}
 			acc := trk.sync(pi, pc, xb.levels)
-			pc.deviationsInto(scratch[:len(pc.shape)], xb.levels)
+			pc.deviationsInto(scratch[:len(pc.shape)], xb.levels, nil)
+			ref := deviationsRef(pc, xb.levels)
 			for k := range acc {
-				if acc[k] != scratch[k] {
-					t.Fatalf("step %d PoE %+v cell %d: incremental %d != scratch %d",
-						step, p, k, acc[k], scratch[k])
+				if acc[k] != scratch[k] || scratch[k] != ref[k] {
+					t.Fatalf("step %d PoE %+v cell %d: incremental %d, scratch %d, reference %d",
+						step, p, k, acc[k], scratch[k], ref[k])
 				}
 			}
 		}
 	}
+
+	// The gathered scratch kernel against the reference double loop, for
+	// every PoE of the paper's 8x8 device and of a 16x16 sketch
+	// calibration, with random levels. One gather buffer is reused across
+	// PoEs of different complement sizes, as a crossbar's tracker reuses it.
+	for _, cfg := range []Config{DefaultConfig(), sizedConfig(16, 16)} {
+		x, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := Calibrate(x)
+		if err := c.WarmAll(context.Background(), 1); err != nil {
+			t.Fatal(err)
+		}
+		lv := make([]int, cfg.Cells())
+		var q []int64
+		for pi := range c.poes {
+			pc := &c.poes[pi]
+			for trial := 0; trial < 4; trial++ {
+				for i := range lv {
+					lv[i] = rng.Intn(device.Levels)
+				}
+				got := make([]int64, len(pc.shape))
+				q = pc.deviationsInto(got, lv, q)
+				ref := deviationsRef(pc, lv)
+				for k := range got {
+					if got[k] != ref[k] {
+						t.Fatalf("%dx%d PoE %d shape cell %d: gathered kernel %d != reference %d",
+							cfg.Rows, cfg.Cols, pi, k, got[k], ref[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// deviationsRef is the reference scratch kernel: the plain double loop over
+// shape cells and complement cells, converting each complement level where
+// it is used.
+func deviationsRef(pc *poeCal, levels []int) []int64 {
+	out := make([]int64, len(pc.wflat))
+	for k, row := range pc.wflat {
+		var d int64
+		for j, m := range pc.compIdx {
+			d += row[j] * levelQ(levels[m])
+		}
+		out[k] = d
+	}
+	return out
 }
 
 // TestPulseRoundTripWithSharedCalibration checks that a pulse sequence
@@ -144,6 +195,47 @@ func TestCalibrationForSharing(t *testing.T) {
 	}
 	if calV1 == calV2 {
 		t.Error("varied crossbars must not share calibrations")
+	}
+}
+
+// TestUnvariedCrossbarsShareParams pins the parameter sharing: unvaried
+// crossbars of one geometry and device hold the same read-only slice
+// whatever their seed, with the nominal device in every cell; varied
+// crossbars keep private per-cell parameters.
+func TestUnvariedCrossbarsShareParams(t *testing.T) {
+	cfgA, cfgB := DefaultConfig(), DefaultConfig()
+	cfgB.Seed = 31
+	a, err := New(cfgA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(cfgB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.params[0] != &b.params[0] {
+		t.Error("unvaried crossbars with different seeds do not share parameters")
+	}
+	for i, p := range a.params {
+		if p != cfgA.Device {
+			t.Fatalf("cell %d: shared parameters %+v, want the nominal device", i, p)
+		}
+	}
+	cfgV := DefaultConfig()
+	cfgV.VarFrac = 0.05
+	v1, err := New(cfgV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := New(cfgV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &v1.params[0] == &v2.params[0] || &v1.params[0] == &a.params[0] {
+		t.Error("varied crossbars must hold private parameters")
+	}
+	if v1.params[0] == cfgV.Device {
+		t.Error("varied crossbar holds the nominal device")
 	}
 }
 

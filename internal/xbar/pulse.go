@@ -85,7 +85,7 @@ func (x *Crossbar) ApplyPulse(cal *Calibration, poe Cell, class int) error {
 	if err := cal.ensure(poe); err != nil {
 		return err
 	}
-	pidx := cal.cfg.Index(poe)
+	pidx := cal.poeIndex(poe)
 	pc := &cal.poes[pidx]
 	t := x.tracker(cal)
 	acc := t.sync(pidx, pc, x.levels)
@@ -102,8 +102,8 @@ func (x *Crossbar) ApplyPulse(cal *Calibration, poe Cell, class int) error {
 		// drift. acc still holds the pre-mutation deviations here.
 		x.emitTrace(pc, acc, width, negative)
 	}
-	for k, cell := range pc.shape {
-		i := x.Cfg.Index(cell)
+	for k, ci := range pc.shapeIdx {
+		i := int(ci)
 		pi := permIndex(width, mixers[k], i)
 		old := x.levels[i]
 		nl := perms[pi][old]

@@ -30,13 +30,14 @@ type devTracker struct {
 	pos     []int     // journal position acc is synced to; -1 = stale
 	journal []levelDelta
 	mixbuf  []uint64
+	qbuf    []int64 // gathered level coordinates for the scratch kernel
 }
 
 // tracker returns the crossbar's tracker for cal, resetting it if the
 // calibration changed since the last pulse.
 func (x *Crossbar) tracker(cal *Calibration) *devTracker {
 	if x.trk == nil || x.trk.cal != cal {
-		n := x.Cfg.Cells()
+		n := len(x.levels)
 		t := &devTracker{cal: cal, acc: make([][]int64, n), pos: make([]int, n)}
 		for i := range t.pos {
 			t.pos[i] = -1
@@ -71,7 +72,7 @@ func (t *devTracker) sync(pi int, pc *poeCal, levels []int) []int64 {
 	jlen := len(t.journal)
 	pos := t.pos[pi]
 	if pos < 0 || jlen-pos > len(pc.compIdx) {
-		pc.deviationsInto(acc, levels)
+		t.qbuf = pc.deviationsInto(acc, levels, t.qbuf)
 	} else {
 		replay(acc, pc, t.journal[pos:jlen])
 	}
