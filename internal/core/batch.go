@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,8 +16,10 @@ import (
 // scheduler — ops are grouped into ONE run per touched shard, so a run of
 // same-shard ops pays the key snapshot and shard lock once instead of once
 // per op, and two runs never contend on the same shard lock; the caller and
-// pool helper tasks drain the runs from a shared cursor. Small batches and workers==1 pools take an inline sequential
-// path so dispatch overhead can never lose to the plain sequential loop.
+// pool helper tasks drain the runs from a shared cursor. A shard run is the
+// SPECU's only unit of parallel work: the blocks inside it crypt serially.
+// Small batches and workers==1 pools take an inline sequential path so
+// dispatch overhead can never lose to the plain sequential loop.
 // Without Serve the batch methods degrade to that same inline path, so
 // callers need not care which mode the unit is in.
 
@@ -43,11 +46,11 @@ const inlineBatchMax = 8
 
 // Serve starts the SPECU's worker pool: an adaptive pool whose live worker
 // set floats between 1 and workers goroutines behind a request queue of the
-// given depth (<= 0 selects defaults; see NewAdaptivePool). Cancelling ctx
-// shuts the pool down as if Close had been called. Serve fails with
-// ErrServing if a pool is already attached.
+// given depth (<= 0 selects defaults; see NewPool). Cancelling ctx shuts
+// the pool down as if Close had been called. Serve fails with ErrServing
+// if a pool is already attached.
 func (s *SPECU) Serve(ctx context.Context, workers, depth int) error {
-	p := NewAdaptivePool(1, workers, depth)
+	p := NewPool(1, workers, depth)
 	// Wire instruments before publishing the pool so any task the pool runs
 	// observes a fully attached telemetry set (happens-before via the CAS).
 	if t := s.tel.Load(); t != nil {
@@ -96,7 +99,7 @@ type batchOps struct {
 	// locked runs op i inside a coalesced shard run: the run holds keyMu
 	// (shared) and shard si's lock (exclusive) for its whole duration.
 	// tc is the op's causal trace context (zero when tracing is off).
-	locked func(i, si int, sh *shard, key prng.Key, pool *Pool, tc trace.Context)
+	locked func(i, si int, sh *shard, key prng.Key, tc trace.Context)
 	// fail records err for an op the scheduler never ran (cancellation,
 	// missing key discovered at run start).
 	fail func(i int, err error)
@@ -186,15 +189,16 @@ func (c *runCursor) drain(ctx context.Context, s *SPECU, p *Pool, ops *batchOps,
 	}
 }
 
-// runCoalesced groups the batch's ops by shard with a counting sort (no
-// comparison sort) into one run per touched shard and drains the runs
-// through one shared cursor: the caller and at most Workers()-1 helper
-// tasks each take the next unclaimed run until none are left, so every
-// claimant stays busy until the batch's last run starts and no run waits
-// in a queue while a claimant is idle. Each run has
-// exactly one claimant, and within a run ops execute in input order (the
-// counting sort is stable), so per-slot results are deterministic for any
-// worker count.
+// runCoalesced groups the batch's ops by shard with a counting sort into
+// one run per touched shard, orders the runs longest first (ties by shard
+// index), and drains them through one shared cursor: the caller and at
+// most Workers()-1 helper tasks each take the next unclaimed run until none
+// are left, so every claimant stays busy until the batch's last run starts
+// and no run waits in a queue while a claimant is idle. Longest-first puts
+// the straggler runs at the front, so the batch ends on short runs instead
+// of one claimant finishing a long run alone. Each run has exactly one
+// claimant, and within a run ops execute in input order (the counting sort
+// is stable), so per-slot results are deterministic for any worker count.
 //
 // Helpers are claim-gated: once the caller finds the cursor empty it
 // cancels every helper slot no worker has started, then waits only for the
@@ -225,6 +229,10 @@ func (s *SPECU) runCoalesced(ctx context.Context, p *Pool, ops *batchOps, tc tra
 		c.runs[c.nruns] = shardRun{si: si, lo: counts[si], hi: counts[si+1]}
 		c.nruns++
 	}
+	// Stable, and the runs were emitted in shard order: ties keep it.
+	slices.SortStableFunc(c.runs[:c.nruns], func(a, b shardRun) int {
+		return int((b.hi - b.lo) - (a.hi - a.lo))
+	})
 
 	helpers := min(p.Workers()-1, int(c.nruns)-1)
 	c.slots.Store(int32(helpers))
@@ -272,7 +280,6 @@ func (s *SPECU) runShard(ctx context.Context, si int, run []int32, ops *batchOps
 		}
 		return
 	}
-	pool := s.cryptPool()
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -290,7 +297,7 @@ func (s *SPECU) runShard(ctx context.Context, si int, run []int32, ops *batchOps
 			return
 		}
 		osp := sp.Context().Start(ops.opMeta)
-		ops.locked(int(i), si, sh, key, pool, osp.Context())
+		ops.locked(int(i), si, sh, key, osp.Context())
 		osp.End(0, 0)
 	}
 	sp.End(int64(len(run)), stole)
@@ -310,10 +317,10 @@ func (s *SPECU) WriteBatch(ctx context.Context, ops []WriteOp) []error {
 			errs[i] = s.writeCtx(ops[i].Addr, ops[i].Data, tc)
 			t.observeWrite(shardIndex(ops[i].Addr), start)
 		},
-		locked: func(i, si int, sh *shard, key prng.Key, pool *Pool, tc trace.Context) {
+		locked: func(i, si int, sh *shard, key prng.Key, tc trace.Context) {
 			t := s.tel.Load()
 			start := t.now()
-			errs[i] = s.writeLocked(si, sh, key, pool, ops[i].Addr, ops[i].Data, tc)
+			errs[i] = s.writeLocked(si, sh, key, ops[i].Addr, ops[i].Data, tc)
 			t.observeWrite(si, start)
 		},
 		fail:   func(i int, err error) { errs[i] = err },
@@ -338,10 +345,10 @@ func (s *SPECU) ReadBatch(ctx context.Context, addrs []uint64) []ReadResult {
 			t.observeRead(shardIndex(addrs[i]), start)
 			res[i] = ReadResult{Addr: addrs[i], Data: data, Err: err}
 		},
-		locked: func(i, si int, sh *shard, key prng.Key, pool *Pool, tc trace.Context) {
+		locked: func(i, si int, sh *shard, key prng.Key, tc trace.Context) {
 			t := s.tel.Load()
 			start := t.now()
-			data, err := s.readLocked(si, sh, key, pool, addrs[i], tc)
+			data, err := s.readLocked(si, sh, key, addrs[i], tc)
 			t.observeRead(si, start)
 			res[i] = ReadResult{Addr: addrs[i], Data: data, Err: err}
 		},
@@ -380,8 +387,8 @@ func (s *SPECU) cryptBatch(ctx context.Context, addrs []uint64, decrypt bool) []
 		inline: func(i int, tc trace.Context) {
 			errs[i] = s.cryptAtCtx(addrs[i], decrypt, tc)
 		},
-		locked: func(i, si int, sh *shard, key prng.Key, pool *Pool, tc trace.Context) {
-			errs[i] = s.cryptLocked(si, sh, key, pool, addrs[i], decrypt, tc)
+		locked: func(i, si int, sh *shard, key prng.Key, tc trace.Context) {
+			errs[i] = s.cryptLocked(si, sh, key, addrs[i], decrypt, tc)
 		},
 		fail:   func(i int, err error) { errs[i] = err },
 		meta:   traceMetaCryptBatch,
@@ -405,16 +412,15 @@ func (s *SPECU) cryptAtCtx(addr uint64, decrypt bool, tc trace.Context) error {
 	if err != nil {
 		return err
 	}
-	pool := s.cryptPool()
 	si := shardIndex(addr)
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.cryptLocked(si, sh, key, pool, addr, decrypt, tc)
+	return s.cryptLocked(si, sh, key, addr, decrypt, tc)
 }
 
 // cryptLocked is the cryptAt body. Same locking contract as writeLocked.
-func (s *SPECU) cryptLocked(si int, sh *shard, key prng.Key, pool *Pool, addr uint64, decrypt bool, tc trace.Context) error {
+func (s *SPECU) cryptLocked(si int, sh *shard, key prng.Key, addr uint64, decrypt bool, tc trace.Context) error {
 	b, ok := sh.blocks[addr]
 	if !ok {
 		return errNoBlockAt(addr)
@@ -422,7 +428,7 @@ func (s *SPECU) cryptLocked(si int, sh *shard, key prng.Key, pool *Pool, addr ui
 	if b.Encrypted() != decrypt {
 		return nil // already in the requested state
 	}
-	return s.blockCrypt(si, b, key, addr, decrypt, pool, tc)
+	return s.blockCrypt(si, b, key, addr, decrypt, tc)
 }
 
 // plaintextAddrs snapshots the addresses of currently plaintext blocks.

@@ -252,7 +252,7 @@ func TestCoalescedReadBatchAllocRegression(t *testing.T) {
 // telemetry counters and gauges.
 func TestAdaptivePoolGrowShrink(t *testing.T) {
 	withProcs(t, 4)
-	p := NewAdaptivePool(1, 4, 64)
+	p := NewPool(1, 4, 64)
 	defer p.Close()
 	if got := p.Workers(); got != 4 {
 		t.Fatalf("Workers() = %d, want cap 4", got)
@@ -267,13 +267,10 @@ func TestAdaptivePoolGrowShrink(t *testing.T) {
 	var wg sync.WaitGroup
 	submit := func() {
 		wg.Add(1)
-		if err := p.Submit(context.Background(), func() {
+		submitWait(t, p, func() {
 			<-release
 			wg.Done()
-		}); err != nil {
-			wg.Done()
-			t.Fatal(err)
-		}
+		})
 	}
 	// Keep submitting blockers until the pool has grown to the cap; each
 	// enqueue that finds every live worker busy counts as pressure.
@@ -325,28 +322,6 @@ func TestAdaptivePoolGrowShrink(t *testing.T) {
 	}
 }
 
-// TestFixedPoolNeverResizes pins that NewPool keeps its worker set
-// constant: the adaptive machinery must stay inert for fixed pools.
-func TestFixedPoolNeverResizes(t *testing.T) {
-	withProcs(t, 4)
-	p := NewPool(2, 4)
-	defer p.Close()
-	if p.ActiveWorkers() != 2 || p.Workers() != 2 {
-		t.Fatalf("fixed pool: active=%d cap=%d, want 2/2", p.ActiveWorkers(), p.Workers())
-	}
-	var n atomic.Int64
-	for i := 0; i < 64; i++ {
-		if err := p.Submit(context.Background(), func() { n.Add(1) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Idle long enough that an adaptive pool would have retired workers.
-	time.Sleep(10 * idleShrink)
-	if got := p.ActiveWorkers(); got != 2 {
-		t.Errorf("fixed pool resized to %d workers", got)
-	}
-}
-
 // TestBatchDispatchPolicy pins where the inline/coalesced boundary sits:
 // batches at or under inlineBatchMax run inline even with a multi-worker
 // pool serving, one op over the threshold coalesces, and a workers=1 pool
@@ -362,7 +337,7 @@ func TestBatchDispatchPolicy(t *testing.T) {
 			n:      n,
 			addr:   func(i int) uint64 { return uint64(i) * BlockSize },
 			inline: func(i int, tc trace.Context) { inlineCalls.Add(1) },
-			locked: func(i, si int, sh *shard, key prng.Key, pool *Pool, tc trace.Context) {
+			locked: func(i, si int, sh *shard, key prng.Key, tc trace.Context) {
 				lockedCalls.Add(1)
 			},
 			fail: func(i int, err error) { t.Errorf("op %d failed: %v", i, err) },
@@ -407,57 +382,121 @@ func TestBatchDispatchPolicy(t *testing.T) {
 
 // TestCoalescedRunsEachOpOnce drives runCoalesced directly at workers 1, 2
 // and 4 (workers=1 has no helpers: the caller drains every run alone) over
-// a batch with duplicate addresses. Every op must run exactly once, inside
-// the run of its own shard, with the ops of one run in input order, and
-// every result slot must hold its own op's result.
+// a batch with duplicate addresses and a skewed one. Every op must run
+// exactly once, inside the run of its own shard, with the ops of one run in
+// input order, and every result slot must hold its own op's result. At
+// workers=1 the runs execute in cursor order, which must be longest run
+// first, ties by shard index; the skewed input gives shard si a run of
+// 1+si%4 ops, so run length and shard index disagree.
 func TestCoalescedRunsEachOpOnce(t *testing.T) {
 	withProcs(t, 4)
 	e := engineForTest(t)
-	const n = 200
-	addrs := make([]uint64, n)
-	for i := range addrs {
-		addrs[i] = uint64((i*37)%91) * BlockSize
+	mixed := make([]uint64, 200)
+	for i := range mixed {
+		mixed[i] = uint64((i*37)%91) * BlockSize
 	}
-	for _, workers := range []int{1, 2, 4} {
-		s := NewSPECU(e, Parallel)
-		if err := s.PowerOn(prng.NewKey(0xC0, 0x5E)); err != nil {
-			t.Fatal(err)
+	var skewed []uint64
+	var have [NumShards]int
+	for a := uint64(0); len(skewed) < 80; a += BlockSize {
+		if si := shardIndex(a); have[si] < 1+si%4 {
+			have[si]++
+			skewed = append(skewed, a)
 		}
-		p := NewPool(workers, 0)
-		var runs [n]atomic.Int32
-		res := make([]uint64, n)
-		// last[si] is written only inside shard si's run, which holds the
-		// shard lock, so runs of one shard never race on it.
-		var last [NumShards]int
-		for si := range last {
-			last[si] = -1
+	}
+	for _, in := range []struct {
+		name  string
+		addrs []uint64
+	}{{"mixed", mixed}, {"skewed", skewed}} {
+		addrs := in.addrs
+		n := len(addrs)
+		runLen := make(map[int]int)
+		for _, a := range addrs {
+			runLen[shardIndex(a)]++
 		}
-		s.runCoalesced(context.Background(), p, &batchOps{
-			n:      n,
-			addr:   func(i int) uint64 { return addrs[i] },
-			inline: func(i int, tc trace.Context) { t.Errorf("op %d ran inline", i) },
-			locked: func(i, si int, sh *shard, key prng.Key, pool *Pool, tc trace.Context) {
-				runs[i].Add(1)
-				if want := shardIndex(addrs[i]); si != want {
-					t.Errorf("op %d ran in shard %d, want %d", i, si, want)
-				}
-				if i <= last[si] {
-					t.Errorf("shard %d ran op %d after op %d", si, i, last[si])
-				}
-				last[si] = i
-				res[i] = addrs[i]
-			},
-			fail: func(i int, err error) { t.Errorf("op %d failed: %v", i, err) },
-		}, trace.Context{})
-		p.Close()
-		for i := range runs {
-			if got := runs[i].Load(); got != 1 {
-				t.Errorf("workers=%d: op %d ran %d times", workers, i, got)
+		for _, workers := range []int{1, 2, 4} {
+			s := NewSPECU(e, Parallel)
+			if err := s.PowerOn(prng.NewKey(0xC0, 0x5E)); err != nil {
+				t.Fatal(err)
 			}
-			if res[i] != addrs[i] {
-				t.Errorf("workers=%d: slot %d holds %#x, want %#x", workers, i, res[i], addrs[i])
+			p := NewPool(workers, workers, 0)
+			runs := make([]atomic.Int32, n)
+			res := make([]uint64, n)
+			// last[si] is written only inside shard si's run, which holds
+			// the shard lock, so runs of one shard never race on it.
+			var last [NumShards]int
+			for si := range last {
+				last[si] = -1
+			}
+			// order is appended only at workers=1, where the caller runs
+			// every shard run itself.
+			var order []int
+			s.runCoalesced(context.Background(), p, &batchOps{
+				n:      n,
+				addr:   func(i int) uint64 { return addrs[i] },
+				inline: func(i int, tc trace.Context) { t.Errorf("op %d ran inline", i) },
+				locked: func(i, si int, sh *shard, key prng.Key, tc trace.Context) {
+					runs[i].Add(1)
+					if want := shardIndex(addrs[i]); si != want {
+						t.Errorf("op %d ran in shard %d, want %d", i, si, want)
+					}
+					if i <= last[si] {
+						t.Errorf("shard %d ran op %d after op %d", si, i, last[si])
+					}
+					if workers == 1 && last[si] < 0 {
+						order = append(order, si)
+					}
+					last[si] = i
+					res[i] = addrs[i]
+				},
+				fail: func(i int, err error) { t.Errorf("op %d failed: %v", i, err) },
+			}, trace.Context{})
+			p.Close()
+			for i := range runs {
+				if got := runs[i].Load(); got != 1 {
+					t.Errorf("%s workers=%d: op %d ran %d times", in.name, workers, i, got)
+				}
+				if res[i] != addrs[i] {
+					t.Errorf("%s workers=%d: slot %d holds %#x, want %#x", in.name, workers, i, res[i], addrs[i])
+				}
+			}
+			for k := 1; k < len(order); k++ {
+				prev, cur := order[k-1], order[k]
+				if runLen[prev] < runLen[cur] || runLen[prev] == runLen[cur] && prev > cur {
+					t.Errorf("%s: shard %d (%d ops) ran before shard %d (%d ops), want longest first, ties by shard",
+						in.name, prev, runLen[prev], cur, runLen[cur])
+				}
 			}
 		}
+	}
+}
+
+// TestServedPoolRunsOnlyBatchHelpers pins the SPECU's single parallelism
+// level: the only tasks a served SPECU submits are coalesced batches'
+// helpers, at most Workers()-1 per batch. Block crypts run serially inside
+// their shard run, so no per-crossbar subtask reaches the pool. Close
+// drains the queue, so afterwards tasks_done counts every accepted task.
+func TestServedPoolRunsOnlyBatchHelpers(t *testing.T) {
+	withProcs(t, 4)
+	s, addrs := benchSPECU(t, 64)
+	reg := telemetry.New()
+	s.EnableTelemetry(reg)
+	if err := s.Serve(context.Background(), 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	workers := s.pool.Load().Workers()
+	const batches = 10
+	for b := 0; b < batches; b++ {
+		for i, r := range s.ReadBatch(context.Background(), addrs) {
+			if r.Err != nil {
+				t.Fatalf("batch %d slot %d: %v", b, i, r.Err)
+			}
+		}
+	}
+	s.Close()
+	done := reg.Counter("specu.pool.tasks_done").Load()
+	if limit := int64(batches * (workers - 1)); done == 0 || done > limit {
+		t.Errorf("pool ran %d tasks for %d coalesced batches at %d workers, want 1..%d",
+			done, batches, workers, limit)
 	}
 }
 
@@ -470,25 +509,21 @@ func TestCoalescedRunsEachOpOnce(t *testing.T) {
 func TestNestedBatchInsidePoolTask(t *testing.T) {
 	withProcs(t, 2)
 	s, addrs := benchSPECU(t, 32)
-	p := NewPool(2, 1)
+	p := NewPool(2, 2, 1)
 	s.pool.Store(p)
 
 	started := make(chan struct{})
 	done := make(chan struct{})
 	var res []ReadResult
-	if err := p.Submit(context.Background(), func() {
+	submitWait(t, p, func() {
 		<-started // the other worker is parked: nobody can run a helper
 		res = s.ReadBatch(context.Background(), addrs)
 		close(done)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Submit(context.Background(), func() {
+	})
+	submitWait(t, p, func() {
 		close(started)
 		<-done
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):

@@ -16,7 +16,7 @@ func newFreshBlock(t *testing.T, e *Engine, seed int64) *Block {
 	t.Helper()
 	n := e.CrossbarsPerBlock()
 	b := &Block{eng: e, xbs: make([]*xbar.Crossbar, n), cals: make([]*xbar.Calibration, n)}
-	b.scratch.scheds = make([]prng.Schedule, n)
+	b.scheds = make([]prng.Schedule, n)
 	for i := range b.xbs {
 		cfg := e.P.Xbar
 		cfg.Seed = seed*257 + int64(i)

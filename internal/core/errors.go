@@ -31,10 +31,6 @@ var (
 	// never written.
 	ErrNoBlock = errors.New("core: no block at address")
 
-	// ErrClosed is returned when work is submitted to a worker pool that
-	// has been closed (or whose serve context was cancelled).
-	ErrClosed = errors.New("core: worker pool closed")
-
 	// ErrServing is returned by Serve when a worker pool is already
 	// running for this SPECU.
 	ErrServing = errors.New("core: SPECU already serving")

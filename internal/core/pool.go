@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,17 +9,16 @@ import (
 	"snvmm/internal/telemetry"
 )
 
-// Pool is a bounded worker pool: a set of goroutines draining a fixed-depth
-// request queue. The SPECU uses one pool at two granularities — a batch's
-// shard runs are drained by the caller plus helper tasks, and each block's
-// crossbars are fanned out as subtasks (falling back to inline execution
-// when the queue is saturated, so nested submission can never deadlock).
+// Pool is a bounded, adaptive worker pool: a set of goroutines draining a
+// fixed-depth request queue. The SPECU submits one kind of task to it — a
+// coalesced batch's helper, which drains shard runs from the batch's shared
+// cursor alongside the caller. Submission is TrySubmit only: a caller whose
+// task the full queue refuses does the work itself, so nested submission
+// can never deadlock.
 //
-// A pool can be fixed-size (NewPool: all workers live for the pool's
-// lifetime) or adaptive (NewAdaptivePool: the live worker set floats
-// between a floor and a cap, sized by observed queue pressure). Serve
-// attaches an adaptive pool, so idle SPECUs do not burn schedulable
-// parallelism parking worker goroutines that have nothing to drain.
+// The live worker set floats between a floor and a cap, sized by observed
+// queue pressure, so an idle SPECU does not burn schedulable parallelism
+// parking worker goroutines that have nothing to drain.
 type Pool struct {
 	mu     sync.RWMutex // guards closed; held (R) across every enqueue/spawn
 	closed bool
@@ -29,7 +27,7 @@ type Pool struct {
 	quit    chan struct{}
 	wg      sync.WaitGroup
 	workers int // cap on live workers
-	min     int // adaptive floor; == workers for fixed pools
+	min     int // floor on live workers; these never retire
 
 	// Scheduler accounting, maintained unconditionally (padded-free plain
 	// atomics): the adaptive policy reads these even when telemetry is
@@ -50,9 +48,11 @@ type Pool struct {
 // busy with a backlog queued — so a single burst does not immediately spawn
 // the full cap; shrink is driven by idleness — a worker that drains nothing
 // for idleShrink retires, down to the pool's floor. The constants trade
-// reaction latency against thrash: at growPressure=2 a burst of helper and
-// crossbar fan-out submissions reaches the cap within a few enqueues, while
-// idleShrink is long enough that back-to-back batches never see a cold pool.
+// reaction latency against thrash: a coalesced batch submits at most
+// Workers()-1 helpers, so growPressure=2 lets a workers=2 pool grow on the
+// second pressured batch and a wider pool reach its cap within a batch or
+// two, while idleShrink is long enough that back-to-back batches never see
+// a cold pool.
 const (
 	growPressure = 2
 	idleShrink   = 2 * time.Millisecond
@@ -136,22 +136,15 @@ func (p *Pool) StealRate() float64 {
 	return float64(st) / float64(total)
 }
 
-// NewPool starts a fixed-size pool: workers goroutines behind a queue of
-// the given depth (both <= 0 select defaults). The worker count is resolved
-// by sched.Workers — requests beyond GOMAXPROCS are clamped, because the
-// pool's tasks are pure CPU and goroutines beyond the schedulable
-// parallelism only add context-switch and queue contention overhead.
-func NewPool(workers, depth int) *Pool {
-	w := sched.Workers(workers)
-	return newPool(w, w, depth)
-}
-
-// NewAdaptivePool starts a pool whose live worker set floats between min
-// and max (<= 0 select 1 and GOMAXPROCS; both are clamped by sched.Workers):
-// min workers start immediately, sustained queue pressure spawns more up to
-// max, and workers idle for idleShrink retire back down to min. Workers()
-// reports the cap; ActiveWorkers() the live count.
-func NewAdaptivePool(min, max, depth int) *Pool {
+// NewPool starts a pool whose live worker set floats between min and max
+// (<= 0 select 1 and GOMAXPROCS) behind a queue of the given depth (<= 0
+// selects 4*max): min workers start immediately, sustained queue pressure
+// spawns more up to max, and workers idle for idleShrink retire back down
+// to min. max is resolved by sched.Workers — requests beyond GOMAXPROCS are
+// clamped, because the pool's tasks are pure CPU and goroutines beyond the
+// schedulable parallelism only add context-switch and queue contention
+// overhead. Workers() reports the cap; ActiveWorkers() the live count.
+func NewPool(min, max, depth int) *Pool {
 	max = sched.Workers(max)
 	if min <= 0 {
 		min = 1
@@ -159,10 +152,6 @@ func NewAdaptivePool(min, max, depth int) *Pool {
 	if min > max {
 		min = max
 	}
-	return newPool(min, max, depth)
-}
-
-func newPool(min, max, depth int) *Pool {
 	if depth <= 0 {
 		depth = 4 * max
 	}
@@ -174,39 +163,31 @@ func newPool(min, max, depth int) *Pool {
 	}
 	p.running.Store(int64(min))
 	p.wg.Add(min)
-	adaptive := min < max
 	for i := 0; i < min; i++ {
-		go p.run(adaptive)
+		go p.run()
 	}
 	return p
 }
 
-// run is one worker's drain loop. Adaptive workers carry an idle timer and
-// retire (exit, decrementing the live count) when they drain nothing for
+// run is one worker's drain loop. A worker carries an idle timer and
+// retires (exits, decrementing the live count) when it drains nothing for
 // idleShrink while the pool is above its floor.
-func (p *Pool) run(adaptive bool) {
+func (p *Pool) run() {
 	defer p.wg.Done()
-	var idle *time.Timer
-	var idleC <-chan time.Time
-	if adaptive {
-		idle = time.NewTimer(idleShrink)
-		defer idle.Stop()
-		idleC = idle.C
-	}
+	idle := time.NewTimer(idleShrink)
+	defer idle.Stop()
 	for {
 		select {
 		case f := <-p.tasks:
 			p.runTask(f)
-			if adaptive {
-				if !idle.Stop() {
-					select {
-					case <-idle.C:
-					default:
-					}
+			if !idle.Stop() {
+				select {
+				case <-idle.C:
+				default:
 				}
-				idle.Reset(idleShrink)
 			}
-		case <-idleC:
+			idle.Reset(idleShrink)
+		case <-idle.C:
 			if p.retire() {
 				return
 			}
@@ -247,16 +228,13 @@ func (p *Pool) runTask(f func()) {
 	}
 }
 
-// noteEnqueued records one accepted task and applies the adaptive growth
-// policy. The caller holds p.mu (R), which is what makes the wg.Add inside
-// spawn safe against a concurrent Close.
+// noteEnqueued records one accepted task and applies the growth policy.
+// The caller holds p.mu (R), which is what makes the wg.Add inside spawn
+// safe against a concurrent Close.
 func (p *Pool) noteEnqueued() {
 	d := p.depth.Add(1)
 	if t := p.tel.Load(); t != nil {
 		t.queueDepth.Add(1)
-	}
-	if p.min >= p.workers {
-		return // fixed-size pool: nothing to size
 	}
 	r := p.running.Load()
 	if r < int64(p.workers) && p.busy.Load() >= r {
@@ -281,7 +259,7 @@ func (p *Pool) spawn(depth int64) {
 		}
 		if p.running.CompareAndSwap(r, r+1) {
 			p.wg.Add(1)
-			go p.run(true)
+			go p.run()
 			if t := p.tel.Load(); t != nil {
 				t.activeWorkers.Set(r + 1)
 				t.grows.Inc()
@@ -319,37 +297,18 @@ func (p *Pool) retire() bool {
 	}
 }
 
-// Workers returns the pool's worker cap (the fixed count for NewPool).
+// Workers returns the pool's worker cap.
 func (p *Pool) Workers() int { return p.workers }
 
-// ActiveWorkers returns the live worker count — between the adaptive floor
-// and Workers(), equal to Workers() for fixed pools.
+// ActiveWorkers returns the live worker count, between the floor and
+// Workers().
 func (p *Pool) ActiveWorkers() int { return int(p.running.Load()) }
 
-// Submit enqueues f, blocking while the queue is full. It returns
-// ctx.Err() if the context is cancelled first, or ErrClosed after Close.
-// A nil error guarantees f will run exactly once.
-func (p *Pool) Submit(ctx context.Context, f func()) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return ErrClosed
-	}
-	select {
-	case p.tasks <- f:
-		p.noteEnqueued()
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// TrySubmit enqueues f only if a queue slot is immediately free. The
-// caller runs f itself on false — the fan-out fallback that keeps nested
-// submission deadlock-free.
+// TrySubmit enqueues f only if a queue slot is immediately free, and
+// reports whether it did; after Close it reports false. A true result
+// guarantees f will run exactly once. The pool never blocks a submitter:
+// on false the caller does the work itself, which keeps nested submission
+// deadlock-free.
 func (p *Pool) TrySubmit(f func()) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()

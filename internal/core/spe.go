@@ -12,10 +12,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"snvmm/internal/device"
 	"snvmm/internal/poe"
@@ -128,32 +125,11 @@ type Block struct {
 	xbs       []*xbar.Crossbar
 	cals      []*xbar.Calibration
 	encrypted bool
-	scratch   cryptScratch
-}
-
-// cryptScratch is the block's reusable crypt state. crypt runs under the
-// block's shard lock, so at most one crypt is live per block and the
-// buffers can be flat fields instead of per-call allocations (the dominant
-// allocation source on the sharded read path). scheds holds one reusable
-// schedule per crossbar, since the crossbars of one call may derive theirs
-// concurrently; with it a warm block encrypts and decrypts without
-// allocating. tasks are built once in
-// NewBlock and capture only (block, index); the per-call parameters live in
-// the struct, published to claimants by the claimed[i].Store(false) /
-// CompareAndSwap pair. A task left in the pool queue from a previous call
-// either loses the CAS (slot already claimed or call finished with claimed
-// all true) or legitimately helps the call in progress — indistinguishable
-// from a freshly submitted task, because the closures are identical.
-type cryptScratch struct {
-	key     prng.Key
-	tweak   uint64
-	decrypt bool
-	tc      trace.Context // the call's causal context; zero when untraced
-	errs    []error
-	claimed []atomic.Bool
-	tasks   []func()
-	scheds  []prng.Schedule
-	wg      sync.WaitGroup
+	// scheds holds one reusable schedule per crossbar. crypt runs under the
+	// block's shard lock, so at most one crypt is live per block and the
+	// schedules can be flat fields instead of per-call allocations; with
+	// them a warm block encrypts and decrypts without allocating.
+	scheds []prng.Schedule
 }
 
 // NewBlock fabricates the crossbars of one block. seed individualizes the
@@ -176,17 +152,7 @@ func (e *Engine) NewBlock(seed int64) (*Block, error) {
 			return nil, err
 		}
 	}
-	b.scratch.errs = make([]error, n)
-	b.scratch.claimed = make([]atomic.Bool, n)
-	b.scratch.tasks = make([]func(), n)
-	b.scratch.scheds = make([]prng.Schedule, n)
-	for i := range b.scratch.tasks {
-		i := i
-		// claimed starts false; mark every slot consumed so a task cannot
-		// run crypt work before the first crypt call arms the scratch.
-		b.scratch.claimed[i].Store(true)
-		b.scratch.tasks[i] = func() { b.runCryptTask(i) }
-	}
+	b.scheds = make([]prng.Schedule, n)
 	return b, nil
 }
 
@@ -254,22 +220,22 @@ func subKey(k prng.Key, tweak uint64, idx int) prng.Key {
 // order and pulse classes are derived and the pulses applied with sneak
 // paths enabled.
 func (b *Block) Encrypt(key prng.Key, tweak uint64) error {
-	return b.crypt(key, tweak, false, nil, trace.Context{})
+	return b.crypt(key, tweak, false, trace.Context{})
 }
 
 // Decrypt applies the inverse pulses in reverse order (Section 5.3). With a
 // wrong key the pulses still apply — the hardware cannot tell — but the
 // result is garbage; use ReadPlain after decrypting with the right key.
 func (b *Block) Decrypt(key prng.Key, tweak uint64) error {
-	return b.crypt(key, tweak, true, nil, trace.Context{})
+	return b.crypt(key, tweak, true, trace.Context{})
 }
 
 // cryptXbar applies the keyed schedule to crossbar i: the forward pulse
 // sequence for encryption, the hysteresis-matched inverse pulses in reverse
 // order for decryption. Crossbars of a block are independent (disjoint
-// cells, disjoint calibrations), which is what lets a pool fan them out.
+// cells, disjoint calibrations), so their order does not affect the result.
 func (b *Block) cryptXbar(i int, key prng.Key, tweak uint64, decrypt bool) error {
-	sched := &b.scratch.scheds[i]
+	sched := &b.scheds[i]
 	prng.DeriveScheduleInto(sched, subKey(key, tweak, i), len(b.eng.Placement), device.NumPulses)
 	xb := b.xbs[i]
 	if decrypt {
@@ -290,68 +256,24 @@ func (b *Block) cryptXbar(i int, key prng.Key, tweak uint64, decrypt bool) error
 	return nil
 }
 
-// runCryptTask claims and runs crypt subtask i of the call in progress, if
-// no other goroutine got there first. Safe to invoke at any time — outside a
-// call every slot is claimed, so a stale pool task falls through the CAS.
-func (b *Block) runCryptTask(i int) {
-	sc := &b.scratch
-	if !sc.claimed[i].CompareAndSwap(false, true) {
-		return
-	}
-	// Each crossbar's pulse train gets its own fan lane (derived from the
-	// parent's lane), since subtasks of one block run concurrently.
-	xsp := sc.tc.WithLane(fanLane(sc.tc.Lane(), i)).Start(traceMetaPulseTrain)
-	sc.errs[i] = b.cryptXbar(i, sc.key, sc.tweak, sc.decrypt)
-	xsp.End(int64(len(b.eng.Placement)), int64(i))
-	sc.wg.Done()
-}
-
-// crypt drives all crossbars of the block through cryptXbar. With a pool it
-// fans the crossbars out to workers (Section 6.2.1: the four 8x8 crossbars
-// of a 64-byte block pulse in parallel in hardware); subtasks that find the
-// queue saturated run inline, so nested submission cannot deadlock. The
-// caller must hold the block's shard lock when the block is shared.
-func (b *Block) crypt(key prng.Key, tweak uint64, decrypt bool, pool *Pool, tc trace.Context) error {
+// crypt drives the block's crossbars through cryptXbar one after another.
+// Section 6.2.1 has the crossbars of a block pulse in parallel in hardware;
+// the model charges that as PoECount() cycles (EncryptLatencyCycles), and
+// the simulator's parallelism is the coalesced shard run above it, so a
+// block is one serial unit of work here. The caller must hold the block's
+// shard lock when the block is shared.
+func (b *Block) crypt(key prng.Key, tweak uint64, decrypt bool, tc trace.Context) error {
 	if decrypt && !b.encrypted {
 		return fmt.Errorf("core: block not encrypted")
 	}
 	if !decrypt && b.encrypted {
 		return fmt.Errorf("core: block already encrypted")
 	}
-	if pool == nil || len(b.xbs) < 2 {
-		for i := range b.xbs {
-			xsp := tc.Start(traceMetaPulseTrain)
-			err := b.cryptXbar(i, key, tweak, decrypt)
-			xsp.End(int64(len(b.eng.Placement)), int64(i))
-			if err != nil {
-				return err
-			}
-		}
-	} else {
-		// Claim-based fan-out: subtasks are offered to the pool, then the
-		// submitter claims and runs whatever no worker has started. Every
-		// subtask is therefore claimed by a goroutine that is actively
-		// running it before wg.Wait begins, so a pool saturated with
-		// block-level tasks can never deadlock on its own subtasks. All
-		// fan-out state is the block's reusable scratch: parameters are
-		// stored before the claimed slots reset, so the atomic claim that
-		// admits a task also publishes them.
-		n := len(b.xbs)
-		sc := &b.scratch
-		sc.key, sc.tweak, sc.decrypt, sc.tc = key, tweak, decrypt, tc
-		sc.wg.Add(n)
-		for i := 0; i < n; i++ {
-			sc.errs[i] = nil
-			sc.claimed[i].Store(false)
-		}
-		for i := 0; i < n; i++ {
-			pool.TrySubmit(sc.tasks[i])
-		}
-		for i := 0; i < n; i++ {
-			b.runCryptTask(i)
-		}
-		sc.wg.Wait()
-		if err := errors.Join(sc.errs...); err != nil {
+	for i := range b.xbs {
+		xsp := tc.Start(traceMetaPulseTrain)
+		err := b.cryptXbar(i, key, tweak, decrypt)
+		xsp.End(int64(len(b.eng.Placement)), int64(i))
+		if err != nil {
 			return err
 		}
 	}

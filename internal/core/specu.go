@@ -64,8 +64,8 @@ type SPECU struct {
 
 	shards [NumShards]shard
 
-	// pool, when non-nil, parallelizes batch operations and fans each
-	// block's crossbars out to workers.
+	// pool, when non-nil, runs the coalesced shard runs of batch
+	// operations in parallel.
 	pool atomic.Pointer[Pool]
 
 	// tel, when non-nil, is the resolved instrument set (EnableTelemetry).
@@ -99,32 +99,20 @@ func (s *SPECU) Engine() *Engine { return s.eng }
 func (s *SPECU) Mode() Mode { return s.mode }
 
 // Trace lane assignment. Lanes are Perfetto-thread grouping hints: the
-// batch root lives on the caller lane, each coalesced shard run on its
-// shard's lane (shard-run spans start after the shard lock is acquired,
-// so one lane's spans are serialized by construction), and the per-block
-// crossbar fan-out on a lane derived from the parent's — distinct parent
-// lanes get disjoint fan ranges, so concurrent subtask spans never share
-// a lane.
+// batch root lives on the caller lane and each coalesced shard run on its
+// shard's lane. Shard-run spans start after the shard lock is acquired, so
+// one lane's spans are serialized by construction; a run's op, block-crypt
+// and pulse-train spans nest inside it on the same lane.
 const (
 	laneCaller    = 0
-	laneShardBase = 1             // lanes 1..NumShards: coalesced shard runs
-	laneFanBase   = NumShards + 1 // crossbar fan-out lanes start here
-	laneFanStride = 16            // fan lanes reserved per parent lane
+	laneShardBase = 1 // lanes 1..NumShards: coalesced shard runs
 )
-
-// fanLane maps (parent lane, crossbar index) to a fan-out lane.
-func fanLane(parent uint32, i int) uint32 {
-	if i >= laneFanStride {
-		i = laneFanStride - 1
-	}
-	return laneFanBase + parent*laneFanStride + uint32(i)
-}
 
 // EnableTracing attaches a causal tracer: every batch becomes a trace
 // root whose spans follow the op through coalesced shard runs, pool
-// claim/steal, the per-block crossbar fan-out and down to the pulse
-// trains. Passing nil detaches; a detached SPECU pays one atomic load
-// and a branch per batch and zero allocations.
+// claim/steal, the block crypts and down to the pulse trains. Passing nil
+// detaches; a detached SPECU pays one atomic load and a branch per batch
+// and zero allocations.
 func (s *SPECU) EnableTracing(tr *trace.Tracer) {
 	if tr != nil {
 		tr.NameLane(laneCaller, "batch caller")
@@ -149,18 +137,6 @@ func shardIndex(addr uint64) int {
 // shardOf maps a block address to its shard.
 func (s *SPECU) shardOf(addr uint64) *shard {
 	return &s.shards[shardIndex(addr)]
-}
-
-// cryptPool returns the pool the block-crypt fan-out should use: nil when
-// none is attached or the attached pool caps at one worker — a
-// single-worker fan-out is pure claim overhead (the caller executes every
-// crossbar task itself anyway), so those paths run the inline serial crypt.
-func (s *SPECU) cryptPool() *Pool {
-	p := s.pool.Load()
-	if p == nil || p.Workers() == 1 {
-		return nil
-	}
-	return p
 }
 
 // PowerOn installs the key released by the TPM into the SPECU's volatile
@@ -276,33 +252,32 @@ func (s *SPECU) writeCtx(addr uint64, data []byte, tc trace.Context) error {
 	if err != nil {
 		return err
 	}
-	pool := s.cryptPool()
 	si := shardIndex(addr)
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.writeLocked(si, sh, key, pool, addr, data, tc)
+	return s.writeLocked(si, sh, key, addr, data, tc)
 }
 
 // writeLocked is the write body. The caller holds keyMu (shared) and the
 // shard lock (exclusive); coalesced batch runs call it directly so a run
 // of same-shard ops pays the lock acquisitions once, not once per op.
 // tc is the op's causal trace context (the zero Context when untraced).
-func (s *SPECU) writeLocked(si int, sh *shard, key prng.Key, pool *Pool, addr uint64, data []byte, tc trace.Context) error {
+func (s *SPECU) writeLocked(si int, sh *shard, key prng.Key, addr uint64, data []byte, tc trace.Context) error {
 	b, err := s.blockLocked(sh, addr)
 	if err != nil {
 		return err
 	}
 	if b.Encrypted() {
 		// Overwrite: the stale ciphertext is simply reprogrammed.
-		if err := s.blockCrypt(si, b, key, addr, true, pool, tc); err != nil {
+		if err := s.blockCrypt(si, b, key, addr, true, tc); err != nil {
 			return err
 		}
 	}
 	if err := b.WritePlain(data); err != nil {
 		return err
 	}
-	return s.blockCrypt(si, b, key, addr, false, pool, tc)
+	return s.blockCrypt(si, b, key, addr, false, tc)
 }
 
 // Read returns the plaintext of the block at addr. In Parallel mode the
@@ -328,22 +303,21 @@ func (s *SPECU) readCtx(addr uint64, tc trace.Context) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := s.cryptPool()
 	si := shardIndex(addr)
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.readLocked(si, sh, key, pool, addr, tc)
+	return s.readLocked(si, sh, key, addr, tc)
 }
 
 // readLocked is the read body. Same locking contract as writeLocked.
-func (s *SPECU) readLocked(si int, sh *shard, key prng.Key, pool *Pool, addr uint64, tc trace.Context) ([]byte, error) {
+func (s *SPECU) readLocked(si int, sh *shard, key prng.Key, addr uint64, tc trace.Context) ([]byte, error) {
 	b, ok := sh.blocks[addr]
 	if !ok {
 		return nil, errNoBlockAt(addr)
 	}
 	if b.Encrypted() {
-		if err := s.blockCrypt(si, b, key, addr, true, pool, tc); err != nil {
+		if err := s.blockCrypt(si, b, key, addr, true, tc); err != nil {
 			return nil, err
 		}
 	}
@@ -352,7 +326,7 @@ func (s *SPECU) readLocked(si int, sh *shard, key prng.Key, pool *Pool, addr uin
 		return nil, err
 	}
 	if s.mode == Parallel {
-		if err := s.blockCrypt(si, b, key, addr, false, pool, tc); err != nil {
+		if err := s.blockCrypt(si, b, key, addr, false, tc); err != nil {
 			return nil, err
 		}
 	}
@@ -362,14 +336,13 @@ func (s *SPECU) readLocked(si int, sh *shard, key prng.Key, pool *Pool, addr uin
 // encryptAll encrypts every currently-plaintext block, returning how many
 // it encrypted. keyMu must be held (shared or exclusive) by the caller.
 func (s *SPECU) encryptAll(key prng.Key) (int, error) {
-	pool := s.cryptPool()
 	flushed := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for addr, b := range sh.blocks {
 			if !b.Encrypted() {
-				if err := s.blockCrypt(i, b, key, addr, false, pool, trace.Context{}); err != nil {
+				if err := s.blockCrypt(i, b, key, addr, false, trace.Context{}); err != nil {
 					sh.mu.Unlock()
 					return flushed, err
 				}

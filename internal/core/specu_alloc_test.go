@@ -11,7 +11,7 @@ import (
 
 // TestShardedReadAllocRegression pins the allocation budget of a served
 // Parallel-mode read — the hot path of the sharded pipeline. With the
-// per-block fan-out scratch and the allocation-free schedule derivation a
+// per-block schedule scratch and the allocation-free schedule derivation a
 // read allocates only its returned plaintext: 5 allocs (the block buffer
 // and one per crossbar read-out). The ceiling of 7 leaves 2 for scheduling
 // jitter but fails if any per-call crypt allocation returns (a derived
@@ -42,11 +42,9 @@ func TestShardedReadAllocRegression(t *testing.T) {
 }
 
 // TestBlockCryptAllocFree pins the crypt kernel at zero allocations on a
-// warm block: schedules derive into the block's per-crossbar scratch, the
-// pulse path reuses the crossbar's tracker buffers, and the fan-out state
-// is the block's own. Both the inline path and the pool fan-out count.
+// warm block: schedules derive into the block's per-crossbar scratch and
+// the pulse path reuses the crossbar's tracker buffers.
 func TestBlockCryptAllocFree(t *testing.T) {
-	withProcs(t, 2)
 	e := engineForTest(t)
 	blk, err := e.NewBlock(7)
 	if err != nil {
@@ -60,21 +58,17 @@ func TestBlockCryptAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := prng.NewKey(0xA110C, 0xF4EE)
-	pool := NewPool(2, 8)
-	defer pool.Close()
-	for _, p := range []*Pool{nil, pool} {
-		roundTrip := func() {
-			if err := blk.crypt(key, 0x40, false, p, trace.Context{}); err != nil {
-				t.Fatal(err)
-			}
-			if err := blk.crypt(key, 0x40, true, p, trace.Context{}); err != nil {
-				t.Fatal(err)
-			}
+	roundTrip := func() {
+		if err := blk.crypt(key, 0x40, false, trace.Context{}); err != nil {
+			t.Fatal(err)
 		}
-		roundTrip() // warm: schedules, tracker, journal
-		if avg := testing.AllocsPerRun(50, roundTrip); avg != 0 {
-			t.Errorf("pool=%v: warm Encrypt+Decrypt allocates %.1f/op, want 0", p != nil, avg)
+		if err := blk.crypt(key, 0x40, true, trace.Context{}); err != nil {
+			t.Fatal(err)
 		}
+	}
+	roundTrip() // warm: schedules, tracker, journal
+	if avg := testing.AllocsPerRun(50, roundTrip); avg != 0 {
+		t.Errorf("warm Encrypt+Decrypt allocates %.1f/op, want 0", avg)
 	}
 	got, err := blk.ReadPlain()
 	if err != nil {

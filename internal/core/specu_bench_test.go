@@ -52,8 +52,8 @@ func BenchmarkSPECUSequentialRead(b *testing.B) {
 }
 
 // BenchmarkSPECUShardedRead drives the same read mix through the served
-// pipeline at 1, 4 and 8 workers: independent blocks run on different
-// shards concurrently and each block's four crossbars fan out as subtasks.
+// pipeline at 1, 4 and 8 workers: the coalesced shard runs of each batch
+// execute concurrently, each block crypting its crossbars in turn.
 // On a multi-core host the >= 4-worker variants beat the sequential
 // baseline; on GOMAXPROCS=1 they bound the pipeline's scheduling overhead
 // instead (see EXPERIMENTS.md for recorded numbers).

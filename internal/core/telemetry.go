@@ -182,7 +182,7 @@ func wirePool(p *Pool, reg *telemetry.Registry) {
 // (same contract as crypt itself). tc is the op's causal trace context;
 // the block crypt becomes a child span whose children are the per-crossbar
 // pulse trains.
-func (s *SPECU) blockCrypt(si int, b *Block, key prng.Key, addr uint64, decrypt bool, pool *Pool, tc trace.Context) error {
+func (s *SPECU) blockCrypt(si int, b *Block, key prng.Key, addr uint64, decrypt bool, tc trace.Context) error {
 	meta := traceMetaEncrypt
 	if decrypt {
 		meta = traceMetaDecrypt
@@ -190,12 +190,12 @@ func (s *SPECU) blockCrypt(si int, b *Block, key prng.Key, addr uint64, decrypt 
 	csp := tc.Start(meta)
 	t := s.tel.Load()
 	if t == nil {
-		err := b.crypt(key, addr, decrypt, pool, csp.Context())
+		err := b.crypt(key, addr, decrypt, csp.Context())
 		csp.End(int64(len(b.xbs)), 0)
 		return err
 	}
 	start := t.reg.Now()
-	err := b.crypt(key, addr, decrypt, pool, csp.Context())
+	err := b.crypt(key, addr, decrypt, csp.Context())
 	elapsed := t.reg.Now() - start
 	csp.End(int64(len(b.xbs)), 0)
 	if decrypt {

@@ -141,7 +141,7 @@ func TestTracePropagationAcrossPowerOff(t *testing.T) {
 // gauge.
 func TestPoolStealRate(t *testing.T) {
 	withProcs(t, 4)
-	p := NewAdaptivePool(1, 2, 8)
+	p := NewPool(1, 2, 8)
 	defer p.Close()
 	reg := telemetry.New()
 	p.SetTelemetry(reg)
@@ -149,14 +149,14 @@ func TestPoolStealRate(t *testing.T) {
 	if got := p.StealRate(); got != 0 {
 		t.Errorf("StealRate() = %v before any work, want 0", got)
 	}
-	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		if err := p.Submit(context.Background(), func() { wg.Done() }); err != nil {
-			t.Fatal(err)
-		}
+		submitWait(t, p, func() {})
 	}
-	wg.Wait()
+	// A task counts as done only after it returns, so wait on the pool's
+	// own count rather than on a signal from inside the tasks.
+	for p.done.Load() < 3 {
+		time.Sleep(50 * time.Microsecond)
+	}
 	p.NoteSteal()
 	if got, want := p.StealRate(), 0.25; got != want {
 		t.Errorf("StealRate() = %v after 1 steal / 3 tasks, want %v", got, want)

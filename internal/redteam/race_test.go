@@ -14,9 +14,9 @@ import (
 // TestConcurrentBatchesUnderPowerCycles crash-injects a served SPECU while
 // ReadBatch/EncryptBatch traffic is in flight (run under -race in CI). The
 // contract: every batch element either succeeds or fails with a typed error
-// (ErrPoweredOff / ErrClosed — never a torn result), reads that succeed
-// return exactly the written payload, and after the final recovery no
-// plaintext is lost and no block is corrupted.
+// (ErrPoweredOff — never a torn result), reads that succeed return exactly
+// the written payload, and after the final recovery no plaintext is lost
+// and no block is corrupted.
 func TestConcurrentBatchesUnderPowerCycles(t *testing.T) {
 	eng := testEngine(t)
 	s := core.NewSPECU(eng, core.Serial)
@@ -49,7 +49,7 @@ func TestConcurrentBatchesUnderPowerCycles(t *testing.T) {
 	// allowed reports whether an in-flight batch error is one of the typed
 	// outcomes a power cycle may legally produce.
 	allowed := func(err error) bool {
-		return err == nil || errors.Is(err, core.ErrPoweredOff) || errors.Is(err, core.ErrClosed)
+		return err == nil || errors.Is(err, core.ErrPoweredOff)
 	}
 
 	var stop atomic.Bool

@@ -1,9 +1,9 @@
 // Package trace is a lightweight causal tracer: value-type contexts carry
 // a trace ID and parent span ID from a batch-API entry point down through
-// shard runs, pool tasks, crossbar fan-out and pulse trains, and completed
-// spans land in a fixed-capacity lock-free ring (same seq-validated slot
-// protocol as telemetry.Recorder). Traces export as Chrome trace-event
-// JSON, loadable in Perfetto (see export.go).
+// shard runs, block crypts and pulse trains, and completed spans land in
+// a fixed-capacity lock-free ring (same seq-validated slot protocol as
+// telemetry.Recorder). Traces export as Chrome trace-event JSON, loadable
+// in Perfetto (see export.go).
 //
 // The package follows the telemetry nil-receiver discipline: a nil *Tracer
 // hands out zero-value Contexts and Spans, and every method no-ops on the

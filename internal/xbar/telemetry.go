@@ -38,7 +38,7 @@ var metaWarmAll = &telemetry.EventMeta{Subsystem: "xbar", Name: "warm_all"}
 // Causal-trace call sites. WarmAll emits a warm_all root plus one
 // warm_worker span per sweep goroutine, on lanes warmLaneBase+w so the
 // workers render as parallel tracks without colliding with the SPECU's
-// shard/fan lanes.
+// caller and shard lanes.
 var (
 	xtrace atomic.Pointer[trace.Tracer]
 
