@@ -77,6 +77,15 @@ fi
 go run ./cmd/benchjson -diff BENCH_specu.json "$tmpdir/batch_matrix.json" \
 	-max-regress 500 -max-allocs-regress 25
 
+# The same gate on the single-op paths: a synchronous Parallel read (the
+# read-through) and an overwrite of ciphertext, at the archive's own
+# -benchtime so warm-up allocations amortize over the same op count.
+go test ./internal/core -run xxx -bench 'BenchmarkSPECU(SequentialRead|EncryptTelemetryOff)' \
+	-benchtime 20x -benchmem \
+	| go run ./cmd/benchjson -require 2 -o "$tmpdir/single_op.json"
+go run ./cmd/benchjson -diff BENCH_specu.json "$tmpdir/single_op.json" \
+	-max-regress 500 -max-allocs-regress 25
+
 # Size-wall smoke: a full 32x32 precharacterization must finish inside a
 # CI-sane wall clock. Before the locality-truncated sketch path even 24x24
 # was unreachable (the dense path needed ~7 s for 16x16 alone and scaled

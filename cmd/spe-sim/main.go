@@ -956,8 +956,9 @@ type batchsweepReport struct {
 // steady-state WriteBatch, ReadBatch and DecryptBatch+EncryptBatch
 // throughput over a -batch-size working set at 1, 2, 4 and 8 workers.
 // Parallel mode keeps every phase in its encrypted steady state (reads
-// decrypt and re-encrypt, overwrites reprogram ciphertext), so ops/s is
-// comparable across phases and worker counts. On a GOMAXPROCS=1 host the
+// read through to the plaintext and rewind to the ciphertext, overwrites
+// reprogram ciphertext), so ops/s is comparable across phases and worker
+// counts. On a GOMAXPROCS=1 host the
 // pool clamps to one worker and every row measures the inline path — run
 // on a multi-core host for real scaling numbers.
 func batchsweep() error {

@@ -113,10 +113,12 @@ func TestSPEWithECC(t *testing.T) {
 	}
 }
 
-// TestCiphertextBitflipAvalanche: a bit flipped in the *stored ciphertext*
-// (an in-array upset) garbles the whole block after decryption — SPE
-// diffuses errors, which is why ECC must wrap the plaintext, not the
-// ciphertext. This pins the design guidance documented in DESIGN.md.
+// TestCiphertextBitflipAvalanche: one bit flipped in the *stored
+// ciphertext* (an in-array upset) garbles at least 8 plaintext bits after
+// decryption — SPE diffuses the error. A SECDED code wrapped around the
+// plaintext corrects one flipped bit per codeword, so it cannot correct an
+// upset that happens in the array; only a code over the stored
+// ciphertext could.
 func TestCiphertextBitflipAvalanche(t *testing.T) {
 	eng, err := coreEngine()
 	if err != nil {

@@ -8,16 +8,16 @@ import (
 	"snvmm/internal/telemetry/trace"
 )
 
-// Telemetry ablation: the same single-goroutine SPECU encrypt path with
-// instrumentation detached versus attached. The "off" variant is the number
-// that must stay glued to the pre-telemetry BlockEncrypt baseline — the
-// disabled fast path is one atomic load and a branch per call site — and
-// the on/off delta bounds the full enabled cost (two clock reads plus a
-// handful of padded atomic updates per operation, against a ~79 µs pulse
-// sequence). Both run under the make-bench 'BenchmarkSPECU' pattern so the
-// pair is archived in BENCH_specu.json.
+// Telemetry ablation: the same single-goroutine SPECU overwrite path (the
+// write phase plus one block encrypt) with instrumentation detached versus
+// attached. The "off" variant is the number that must stay glued to the
+// BlockEncrypt cost — the disabled fast path is one atomic load and a
+// branch per call site — and the on/off delta bounds the full enabled cost
+// (two clock reads plus a handful of padded atomic updates per operation,
+// against a ~50 µs pulse sequence). Both run under the make-bench
+// 'BenchmarkSPECU' pattern so the pair is archived in BENCH_specu.json.
 
-// benchAblationWrite drives b.N write+encrypt operations through s.
+// benchAblationWrite drives b.N overwrites of s's encrypted blocks.
 func benchAblationWrite(b *testing.B, s *SPECU, addrs []uint64) {
 	b.Helper()
 	data := make([]byte, BlockSize)

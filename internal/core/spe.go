@@ -165,11 +165,21 @@ func (b *Block) bytesPerXbar() int { return b.xbs[0].BlockBytes() }
 // WritePlain programs plaintext into the block (the paper's write phase).
 // The block must not currently be encrypted.
 func (b *Block) WritePlain(data []byte) error {
-	if len(data) != BlockSize {
-		return fmt.Errorf("core: WritePlain needs %d bytes, got %d", BlockSize, len(data))
-	}
 	if b.encrypted {
 		return fmt.Errorf("core: block is encrypted; decrypt before writing")
+	}
+	return b.program(data)
+}
+
+// program is the write phase on any block: it reprograms every cell with
+// data, so whatever the block held — plaintext or stale ciphertext — is
+// replaced, and the block holds plaintext afterwards. Overwriting
+// ciphertext this way leaves the cells, and the crossbar trackers (which
+// WriteBlock invalidates), exactly as decrypting first would; only the
+// decrypt's wear is missing, because the hardware never applies it.
+func (b *Block) program(data []byte) error {
+	if len(data) != BlockSize {
+		return fmt.Errorf("core: WritePlain needs %d bytes, got %d", BlockSize, len(data))
 	}
 	per := b.bytesPerXbar()
 	for i, xb := range b.xbs {
@@ -177,6 +187,7 @@ func (b *Block) WritePlain(data []byte) error {
 			return err
 		}
 	}
+	b.encrypted = false
 	return nil
 }
 
@@ -193,7 +204,7 @@ func (b *Block) ReadPlain() ([]byte, error) {
 func (b *Block) ReadRaw() []byte {
 	out := make([]byte, 0, BlockSize)
 	for _, xb := range b.xbs {
-		out = append(out, xb.ReadBlock()...)
+		out = xb.AppendBlock(out)
 	}
 	return out
 }
@@ -279,6 +290,36 @@ func (b *Block) crypt(key prng.Key, tweak uint64, decrypt bool, tc trace.Context
 	}
 	b.encrypted = !decrypt
 	return nil
+}
+
+// readThrough is the SPE-parallel read of an encrypted block. For each
+// crossbar it saves the cell state into snap, applies the inverse pulses,
+// senses the plaintext and rewinds the crossbar to the saved ciphertext.
+// The rewind is the re-encryption the paper runs after every parallel
+// read: it leaves the cells, the wear and the tracker state the forward
+// pulse train would, without deriving that train a second time (see
+// xbar.Crossbar.Rewind). A pulse error rewinds the crossbar it hit before
+// returning, so the block holds its ciphertext whatever happens, and
+// plaintext exists only inside the call, under the caller's shard lock.
+func (b *Block) readThrough(key prng.Key, tweak uint64, snap *xbar.Snapshot, tc trace.Context) ([]byte, error) {
+	if !b.encrypted {
+		return nil, fmt.Errorf("core: block not encrypted")
+	}
+	out := make([]byte, 0, BlockSize)
+	for i, xb := range b.xbs {
+		xb.Save(snap)
+		xsp := tc.Start(traceMetaPulseTrain)
+		err := b.cryptXbar(i, key, tweak, true)
+		xsp.End(int64(len(b.eng.Placement)), int64(i))
+		if err == nil {
+			out = xb.AppendBlock(out)
+		}
+		xb.Rewind(snap)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Wear returns the total pulse count across all cells of the block.

@@ -8,6 +8,7 @@ import (
 	"snvmm/internal/prng"
 	"snvmm/internal/telemetry/slo"
 	"snvmm/internal/telemetry/trace"
+	"snvmm/internal/xbar"
 )
 
 // Mode selects between the paper's two SPE variants (Section 7).
@@ -43,6 +44,10 @@ const NumShards = 32
 type shard struct {
 	mu     sync.RWMutex
 	blocks map[uint64]*Block
+	// snap is the crossbar snapshot Parallel read-throughs save into. It
+	// is only touched under mu held exclusively, so one per shard serves
+	// every block of the shard without allocating.
+	snap xbar.Snapshot
 }
 
 // SPECU is the Sneak Path Encryption Control Unit: it sits between the L2
@@ -268,21 +273,22 @@ func (s *SPECU) writeLocked(si int, sh *shard, key prng.Key, addr uint64, data [
 	if err != nil {
 		return err
 	}
-	if b.Encrypted() {
-		// Overwrite: the stale ciphertext is simply reprogrammed.
-		if err := s.blockCrypt(si, b, key, addr, true, tc); err != nil {
-			return err
-		}
-	}
-	if err := b.WritePlain(data); err != nil {
+	// Overwrite: the write phase reprograms every cell, so stale
+	// ciphertext is replaced, not decrypted first.
+	wasEncrypted := b.Encrypted()
+	if err := b.program(data); err != nil {
 		return err
+	}
+	if wasEncrypted {
+		s.tel.Load().addPlaintext(1)
 	}
 	return s.blockCrypt(si, b, key, addr, false, tc)
 }
 
 // Read returns the plaintext of the block at addr. In Parallel mode the
-// block is re-encrypted immediately; in Serial mode it stays decrypted
-// until written back or EncryptPending is called.
+// block never leaves ciphertext: it is read through (decrypted, sensed and
+// restored to its ciphertext under the shard lock); in Serial mode it
+// stays decrypted until written back or EncryptPending is called.
 func (s *SPECU) Read(addr uint64) ([]byte, error) {
 	t := s.tel.Load()
 	start := t.now()
@@ -315,6 +321,9 @@ func (s *SPECU) readLocked(si int, sh *shard, key prng.Key, addr uint64, tc trac
 	b, ok := sh.blocks[addr]
 	if !ok {
 		return nil, errNoBlockAt(addr)
+	}
+	if s.mode == Parallel && b.Encrypted() {
+		return s.blockReadThrough(si, sh, b, key, addr, tc)
 	}
 	if b.Encrypted() {
 		if err := s.blockCrypt(si, b, key, addr, true, tc); err != nil {

@@ -11,11 +11,12 @@ import (
 
 // TestShardedReadAllocRegression pins the allocation budget of a served
 // Parallel-mode read — the hot path of the sharded pipeline. With the
-// per-block schedule scratch and the allocation-free schedule derivation a
-// read allocates only its returned plaintext: 5 allocs (the block buffer
-// and one per crossbar read-out). The ceiling of 7 leaves 2 for scheduling
-// jitter but fails if any per-call crypt allocation returns (a derived
-// schedule alone costs 2 per crossbar crypt, 16 per read).
+// per-block schedule scratch, the allocation-free schedule derivation, the
+// shard's read-through snapshot and crossbars sensed straight into the
+// result buffer, a read allocates only its returned plaintext: 1 alloc.
+// The ceiling of 3 leaves 2 for scheduling jitter but fails if a
+// per-crossbar read-out buffer (4 per read) or any per-call crypt
+// allocation (a derived schedule alone costs 2 per crossbar crypt) returns.
 func TestShardedReadAllocRegression(t *testing.T) {
 	s, addrs := benchSPECU(t, 16)
 	if err := s.Serve(context.Background(), 2, 64); err != nil {
@@ -35,7 +36,7 @@ func TestShardedReadAllocRegression(t *testing.T) {
 		}
 		i++
 	})
-	const ceiling = 7
+	const ceiling = 3
 	if avg > ceiling {
 		t.Errorf("sharded read allocates %.1f/op, ceiling %d", avg, ceiling)
 	}

@@ -38,8 +38,9 @@ func benchSPECU(b testing.TB, numBlocks int) (*SPECU, []uint64) {
 	return s, addrs
 }
 
-// BenchmarkSPECUSequentialRead is the pre-tentpole baseline: one goroutine,
-// no pool, blocks decrypted and re-encrypted one crossbar at a time.
+// BenchmarkSPECUSequentialRead is the synchronous Parallel-mode read: one
+// goroutine, no pool, each read a read-through (one decrypt pulse train
+// and one rewind per crossbar).
 func BenchmarkSPECUSequentialRead(b *testing.B) {
 	s, addrs := benchSPECU(b, 64)
 	b.ResetTimer()

@@ -177,6 +177,30 @@ func wirePool(p *Pool, reg *telemetry.Registry) {
 	p.SetTelemetry(reg)
 }
 
+// addPlaintext moves the plaintext-blocks gauge by delta; a no-op on a nil
+// receiver (disabled telemetry).
+func (t *specuTel) addPlaintext(delta int64) {
+	if t != nil {
+		t.plaintext.Add(delta)
+	}
+}
+
+// observeCrypt records one block crypt against shard si in the encrypt or
+// decrypt distribution; a no-op on a nil receiver (disabled telemetry).
+func (t *specuTel) observeCrypt(si int, decrypt bool, start int64) {
+	if t == nil {
+		return
+	}
+	elapsed := t.reg.Now() - start
+	if decrypt {
+		t.decrypt[si].ObserveNs(elapsed)
+		t.sloDecrypt.Observe(elapsed)
+	} else {
+		t.encrypt[si].ObserveNs(elapsed)
+		t.sloEncrypt.Observe(elapsed)
+	}
+}
+
 // blockCrypt runs b.crypt with per-shard encrypt/decrypt latency recording
 // and plaintext-gauge maintenance. The caller holds the block's shard lock
 // (same contract as crypt itself). tc is the op's causal trace context;
@@ -189,28 +213,31 @@ func (s *SPECU) blockCrypt(si int, b *Block, key prng.Key, addr uint64, decrypt 
 	}
 	csp := tc.Start(meta)
 	t := s.tel.Load()
-	if t == nil {
-		err := b.crypt(key, addr, decrypt, csp.Context())
-		csp.End(int64(len(b.xbs)), 0)
-		return err
-	}
-	start := t.reg.Now()
+	start := t.now()
 	err := b.crypt(key, addr, decrypt, csp.Context())
-	elapsed := t.reg.Now() - start
 	csp.End(int64(len(b.xbs)), 0)
-	if decrypt {
-		t.decrypt[si].ObserveNs(elapsed)
-		t.sloDecrypt.Observe(elapsed)
-	} else {
-		t.encrypt[si].ObserveNs(elapsed)
-		t.sloEncrypt.Observe(elapsed)
-	}
+	t.observeCrypt(si, decrypt, start)
 	if err == nil {
 		if decrypt {
-			t.plaintext.Add(1)
+			t.addPlaintext(1)
 		} else {
-			t.plaintext.Add(-1)
+			t.addPlaintext(-1)
 		}
 	}
 	return err
+}
+
+// blockReadThrough runs b.readThrough into the shard's snapshot, recorded
+// as a decrypt: a decrypt span and decrypt-latency sample, since the
+// decrypt is the one keyed pulse train it runs. The block stays
+// ciphertext, so the plaintext gauge does not move. Same locking contract
+// as blockCrypt.
+func (s *SPECU) blockReadThrough(si int, sh *shard, b *Block, key prng.Key, addr uint64, tc trace.Context) ([]byte, error) {
+	csp := tc.Start(traceMetaDecrypt)
+	t := s.tel.Load()
+	start := t.now()
+	data, err := b.readThrough(key, addr, &sh.snap, csp.Context())
+	csp.End(int64(len(b.xbs)), 0)
+	t.observeCrypt(si, true, start)
+	return data, err
 }

@@ -83,11 +83,21 @@ func (x *Crossbar) WriteBlock(data []byte) error {
 // ReadBlock senses the array (transistor-gated, sneak-free) and returns the
 // stored bits.
 func (x *Crossbar) ReadBlock() []byte {
-	out := make([]byte, x.BlockBytes())
-	for i, l := range x.levels {
-		out[i/4] |= device.LevelBits(l) << uint((i%4)*2)
+	return x.AppendBlock(make([]byte, 0, x.BlockBytes()))
+}
+
+// AppendBlock senses the array like ReadBlock and appends the BlockBytes
+// stored bytes to dst, so a caller assembling several crossbars into one
+// buffer reads them out without a buffer per crossbar.
+func (x *Crossbar) AppendBlock(dst []byte) []byte {
+	for j := 0; j < x.BlockBytes(); j++ {
+		var b byte
+		for k, l := range x.levels[4*j : 4*j+4] {
+			b |= device.LevelBits(l) << uint(2*k)
+		}
+		dst = append(dst, b)
 	}
-	return out
+	return dst
 }
 
 // resistance returns the present resistance of cell i at the given level
