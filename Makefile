@@ -12,7 +12,7 @@ vet:
 	$(GO) vet ./...
 
 # The race suite: everything under the race detector. This is the gate for
-# changes to internal/core's sharded SPECU, the worker pool and the batch
+# changes to internal/core's sharded SPECU, its helper budget and the batch
 # layer (see DESIGN.md, "Concurrency model").
 test-race:
 	$(GO) test -race ./...
@@ -40,7 +40,7 @@ test-attacks:
 # headline numbers). The second core run repeats the coalesced batch benches
 # at -cpu 4 so the archive carries the multi-core matrix (benchjson derives
 # speedup_vs_w1 per -cpu level); on a host with fewer than 4 vCPUs those
-# rows oversubscribe the cores (the pool clamp follows GOMAXPROCS), so
+# rows oversubscribe the cores (sched.Workers clamps to GOMAXPROCS), so
 # ci.sh gates parallel efficiency on a -cpu 1,$(nproc) matrix instead.
 bench:
 	( $(GO) test ./internal/core -run xxx -bench 'BenchmarkBlock|BenchmarkNewBlock|BenchmarkSPECU' -benchtime 20x -benchmem ; \

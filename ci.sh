@@ -45,8 +45,8 @@ go build -o "$tmpdir/spe-sim" ./cmd/spe-sim
 # 0.6 sits below every sample of 6 (workers 4 and 8, 3 runs: 0.67-0.81) on
 # a shared 2-vCPU host at -benchtime 200x (20x was too noisy to gate), and
 # above the 0.5 a 2-vCPU run scores with no parallel speedup. On a
-# single-vCPU host the pool clamp pins real runs to one worker and the batch
-# path takes its inline fast path by design, so the assertion is skipped
+# single-vCPU host sched.Workers clamps real runs to one worker and the
+# batch path takes its inline fast path by design, so the assertion is skipped
 # there rather than asserted vacuously; the matrix itself still runs,
 # catching functional regressions.
 ncpu=$(nproc)
@@ -66,7 +66,7 @@ for w in (4, 8):
     assert eff >= 0.6, (name, "parallel efficiency", eff, ratios)
 ' "$tmpdir/batch_matrix.json" "$ncpu"
 else
-	echo "ci: 1 vCPU; skipping batch parallel-efficiency assertion (pool clamps to one worker)"
+	echo "ci: 1 vCPU; skipping batch parallel-efficiency assertion (workers clamp to one)"
 fi
 
 # Bench regression gate: the live batch matrix against the committed

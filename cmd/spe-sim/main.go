@@ -193,7 +193,7 @@ func main() {
 		{"timersweep", "ablation: SPE-serial re-encryption timer trade-off", timersweep},
 		{"wearlevel", "extension: start-gap defense against endurance attacks", wearlevelExp},
 		{"nvcache", "future work: SPE-protected non-volatile cache sweep", nvcacheExp},
-		{"concurrency", "sharded SPECU pipeline: sequential vs pooled throughput + shadow verification", concurrency},
+		{"concurrency", "sharded SPECU pipeline: sequential vs served throughput + shadow verification", concurrency},
 		{"batchsweep", "adaptive batch scheduler: batch ops/s at workers 1/2/4/8 and -batch-size", batchsweep},
 		{"sizewall", "scaled-array characterization: full precharacterization + scaled Table 1 at -rows x -cols", sizewall},
 		{"redteam", "adversarial harness: side-channel distinguisher + crash injection (JSON verdict)", func() error { return runRedteam("all", *rtScript) }},
@@ -636,7 +636,7 @@ func areaOf(name string) float64 {
 	return secure.AreaOverheadMM2(name)
 }
 
-// concurrency measures the tentpole: the sharded, pooled SPECU pipeline
+// concurrency measures the sharded, served SPECU pipeline
 // against the sequential path, then rides a functional shadow along a
 // timing run so the simulated miss stream exercises (and verifies) the
 // concurrent crypto end to end.
@@ -958,9 +958,9 @@ type batchsweepReport struct {
 // Parallel mode keeps every phase in its encrypted steady state (reads
 // read through to the plaintext and rewind to the ciphertext, overwrites
 // reprogram ciphertext), so ops/s is comparable across phases and worker
-// counts. On a GOMAXPROCS=1 host the
-// pool clamps to one worker and every row measures the inline path — run
-// on a multi-core host for real scaling numbers.
+// counts. On a GOMAXPROCS=1 host sched.Workers clamps every row to one
+// worker, so every row measures the inline path — run on a multi-core host
+// for real scaling numbers.
 func batchsweep() error {
 	eng, err := engine()
 	if err != nil {

@@ -11,15 +11,16 @@ import (
 )
 
 // The batched service layer: a SPECU fronting main memory must service
-// many outstanding L2 misses at once. Serve attaches a bounded worker pool
-// to the SPECU; the *Batch methods then dispatch through a shard-coalescing
-// scheduler — ops are grouped into ONE run per touched shard, so a run of
-// same-shard ops pays the key snapshot and shard lock once instead of once
-// per op, and two runs never contend on the same shard lock; the caller and
-// pool helper tasks drain the runs from a shared cursor. A shard run is the
-// SPECU's only unit of parallel work: the blocks inside it crypt serially.
-// Small batches and workers==1 pools take an inline sequential path so
-// dispatch overhead can never lose to the plain sequential loop.
+// many outstanding L2 misses at once. Serve gives the SPECU a budget of
+// helper goroutines; the *Batch methods then dispatch through a
+// shard-coalescing scheduler — ops are grouped into ONE run per touched
+// shard, so a run of same-shard ops pays the key snapshot and shard lock
+// once instead of once per op, and two runs never contend on the same
+// shard lock; the caller and its helpers drain the runs from a shared
+// cursor. A shard run is the SPECU's only unit of parallel work: the blocks
+// inside it crypt serially. Small batches and workers==1 budgets take an
+// inline sequential path so dispatch overhead can never lose to the plain
+// sequential loop.
 // Without Serve the batch methods degrade to that same inline path, so
 // callers need not care which mode the unit is in.
 
@@ -38,51 +39,46 @@ type ReadResult struct {
 }
 
 // inlineBatchMax is the largest batch that always dispatches inline. A
-// handful of ops cannot amortize task submission plus a worker wake-up
-// (each op is microseconds of pulse work, a channel handoff is a similar
-// order once scheduling latency is counted), so batches at or under this
-// size run the caller's goroutine straight through the sequential path.
+// handful of ops cannot amortize the run sort plus a helper goroutine's
+// start and join, so batches at or under this size run the caller's
+// goroutine straight through the sequential path.
 const inlineBatchMax = 8
 
-// Serve starts the SPECU's worker pool: an adaptive pool whose live worker
-// set floats between 1 and workers goroutines behind a request queue of the
-// given depth (<= 0 selects defaults; see NewPool). Cancelling ctx shuts
-// the pool down as if Close had been called. Serve fails with ErrServing
-// if a pool is already attached.
+// Serve lets coalesced batches run on up to workers goroutines (resolved by
+// sched.Workers; <= 0 selects GOMAXPROCS): the batch's caller plus helpers
+// drawn from a budget of workers-1 tokens shared by every batch on this
+// SPECU. depth is unused; it remains so existing callers compile.
+// Cancelling ctx detaches the budget as Close does. Serve fails with
+// ErrServing if a budget is already attached.
 func (s *SPECU) Serve(ctx context.Context, workers, depth int) error {
-	p := NewPool(1, workers, depth)
-	// Wire instruments before publishing the pool so any task the pool runs
-	// observes a fully attached telemetry set (happens-before via the CAS).
-	if t := s.tel.Load(); t != nil {
-		wirePool(p, t.reg)
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	if !s.pool.CompareAndSwap(nil, p) {
-		p.Close()
+	b := newHelperBudget(workers)
+	b.stop = context.AfterFunc(ctx, func() { s.budget.CompareAndSwap(b, nil) })
+	if t := s.tel.Load(); t != nil {
+		wirePool(b, t.reg)
+	}
+	if !s.budget.CompareAndSwap(nil, b) {
+		b.stop()
 		return ErrServing
 	}
-	if ctx != nil && ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				if s.pool.CompareAndSwap(p, nil) {
-					p.Close()
-				}
-			case <-p.quit:
-			}
-		}()
+	// A ctx cancelled before the CAS ran the watcher too early to detach.
+	if ctx.Err() != nil {
+		s.budget.CompareAndSwap(b, nil)
 	}
 	return nil
 }
 
-// Serving reports whether a worker pool is attached.
-func (s *SPECU) Serving() bool { return s.pool.Load() != nil }
+// Serving reports whether a helper budget is attached.
+func (s *SPECU) Serving() bool { return s.budget.Load() != nil }
 
-// Close detaches and drains the worker pool, if any. Synchronous
-// operations keep working after Close; batch operations fall back to the
-// sequential path.
+// Close detaches the helper budget, if any. Batches already running finish
+// on the helpers they hold; synchronous operations keep working, and later
+// batch operations take the sequential path.
 func (s *SPECU) Close() {
-	if p := s.pool.Swap(nil); p != nil {
-		p.Close()
+	if b := s.budget.Swap(nil); b != nil {
+		b.stop()
 	}
 }
 
@@ -109,9 +105,9 @@ type batchOps struct {
 	opMeta *trace.SpanMeta
 }
 
-// runBatch dispatches a batch: inline when no pool is attached, the pool
-// cannot run anything in parallel anyway (Workers()==1), or the batch is
-// too small to amortize dispatch; coalesced through the pool otherwise.
+// runBatch dispatches a batch: inline when no budget is attached, the
+// budget allows no parallelism anyway (one worker), or the batch is too
+// small to amortize dispatch; coalesced otherwise.
 // With a tracer attached the batch becomes a trace root (A0 = op count,
 // A1 = 1 when the coalesced path ran); detached, the root is a zero-value
 // no-op and the whole batch allocates nothing extra.
@@ -120,8 +116,8 @@ func (s *SPECU) runBatch(ctx context.Context, ops *batchOps) {
 		ctx = context.Background()
 	}
 	root := s.tracer.Load().Root(ops.meta)
-	p := s.pool.Load()
-	if p == nil || p.Workers() == 1 || ops.n <= inlineBatchMax {
+	b := s.budget.Load()
+	if b == nil || b.workers == 1 || ops.n <= inlineBatchMax {
 		tc := root.Context()
 		for i := 0; i < ops.n; i++ {
 			if err := ctx.Err(); err != nil {
@@ -135,7 +131,7 @@ func (s *SPECU) runBatch(ctx context.Context, ops *batchOps) {
 		root.End(int64(ops.n), 0)
 		return
 	}
-	s.runCoalesced(ctx, p, ops, root.Context())
+	s.runCoalesced(ctx, b, ops, root.Context())
 	root.End(int64(ops.n), 1)
 }
 
@@ -147,65 +143,46 @@ type shardRun struct {
 }
 
 // runCursor is the shared work list of one coalesced batch. The caller and
-// its helper tasks all take runs from next; slots counts the helpers that
-// may still start, and wg the ones that did.
+// its helpers all take runs from next; wg counts the running helpers.
 type runCursor struct {
 	order []int32
 	runs  [NumShards]shardRun
 	nruns int32
 	next  atomic.Int32
-	slots atomic.Int32
 	wg    sync.WaitGroup
 }
 
-// claimSlot admits one helper task, or reports that the caller has already
-// cancelled every helper that had not started.
-func (c *runCursor) claimSlot() bool {
-	for {
-		n := c.slots.Load()
-		if n <= 0 {
-			return false
-		}
-		if c.slots.CompareAndSwap(n, n-1) {
-			return true
-		}
-	}
-}
-
 // drain executes runs from the shared cursor until none are left. byCaller
-// marks runs the batch's own goroutine executed: each counts as a pool
-// steal and is flagged on its trace span.
-func (c *runCursor) drain(ctx context.Context, s *SPECU, p *Pool, ops *batchOps, tc trace.Context, byCaller bool) {
+// marks runs the batch's own goroutine executed; their trace spans carry
+// the flag.
+func (c *runCursor) drain(ctx context.Context, s *SPECU, ops *batchOps, tc trace.Context, byCaller bool) {
 	for {
 		r := c.next.Add(1) - 1
 		if r >= c.nruns {
 			return
 		}
 		run := c.runs[r]
-		if byCaller {
-			p.NoteSteal()
-		}
 		s.runShard(ctx, run.si, c.order[run.lo:run.hi], ops, tc, byCaller)
 	}
 }
 
 // runCoalesced groups the batch's ops by shard with a counting sort into
 // one run per touched shard, orders the runs longest first (ties by shard
-// index), and drains them through one shared cursor: the caller and at
-// most Workers()-1 helper tasks each take the next unclaimed run until none
-// are left, so every claimant stays busy until the batch's last run starts
-// and no run waits in a queue while a claimant is idle. Longest-first puts
-// the straggler runs at the front, so the batch ends on short runs instead
-// of one claimant finishing a long run alone. Each run has exactly one
+// index), and drains them through one shared cursor: the caller and one
+// helper goroutine per budget token it took each take the next unclaimed
+// run until none are left, so every claimant stays busy until the batch's
+// last run starts and no run waits while a claimant is idle. Longest-first
+// puts the straggler runs at the front, so the batch ends on short runs
+// instead of one claimant finishing a long run alone. Each run has exactly one
 // claimant, and within a run ops execute in input order (the counting sort
 // is stable), so per-slot results are deterministic for any worker count.
 //
-// Helpers are claim-gated: once the caller finds the cursor empty it
-// cancels every helper slot no worker has started, then waits only for the
-// helpers that did start — and those are running, not queued. The caller
-// therefore never blocks on a task that needs a free worker, and a batch
-// issued from inside a pool task cannot deadlock.
-func (s *SPECU) runCoalesced(ctx context.Context, p *Pool, ops *batchOps, tc trace.Context) {
+// The batch takes min(free tokens, runs-1) tokens and starts a goroutine
+// per token, so it waits only on helpers that are already running: a batch
+// that finds every token held drains alone and cannot deadlock. Each
+// helper gives its token back before wg.Done, so the caller's next batch
+// finds it free.
+func (s *SPECU) runCoalesced(ctx context.Context, b *helperBudget, ops *batchOps, tc trace.Context) {
 	n := ops.n
 	c := &runCursor{order: make([]int32, n)}
 	var counts [NumShards + 1]int32
@@ -234,21 +211,17 @@ func (s *SPECU) runCoalesced(ctx context.Context, p *Pool, ops *batchOps, tc tra
 		return int((b.hi - b.lo) - (a.hi - a.lo))
 	})
 
-	helpers := min(p.Workers()-1, int(c.nruns)-1)
-	c.slots.Store(int32(helpers))
+	helpers := b.take(int(c.nruns) - 1)
 	c.wg.Add(helpers)
 	help := func() {
-		if c.claimSlot() {
-			c.drain(ctx, s, p, ops, tc, false)
-			c.wg.Done()
-		}
+		c.drain(ctx, s, ops, tc, false)
+		b.give()
+		c.wg.Done()
 	}
-	for h := 0; h < helpers && p.TrySubmit(help); h++ {
+	for range helpers {
+		go help()
 	}
-	c.drain(ctx, s, p, ops, tc, true)
-	// Cancel the helpers no worker has started, including any the full
-	// queue refused; a cancelled task still queued exits at claimSlot.
-	c.wg.Add(-int(c.slots.Swap(0)))
+	c.drain(ctx, s, ops, tc, true)
 	c.wg.Wait()
 }
 
@@ -263,8 +236,8 @@ func (s *SPECU) runCoalesced(ctx context.Context, p *Pool, ops *batchOps, tc tra
 //
 // The run's trace span lives on the shard's lane and opens only after the
 // shard lock is held, so one lane's spans never overlap; A0 reports ops
-// completed, A1 = 1 when the caller stole the run from the pool.
-func (s *SPECU) runShard(ctx context.Context, si int, run []int32, ops *batchOps, tc trace.Context, stolen bool) {
+// completed, A1 = 1 when the batch's caller ran it rather than a helper.
+func (s *SPECU) runShard(ctx context.Context, si int, run []int32, ops *batchOps, tc trace.Context, byCaller bool) {
 	if err := ctx.Err(); err != nil {
 		for _, i := range run {
 			ops.fail(int(i), err)
@@ -283,9 +256,9 @@ func (s *SPECU) runShard(ctx context.Context, si int, run []int32, ops *batchOps
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var stole int64
-	if stolen {
-		stole = 1
+	var callerRan int64
+	if byCaller {
+		callerRan = 1
 	}
 	sp := tc.WithLane(uint32(laneShardBase + si)).Start(traceMetaShardRun)
 	for k, i := range run {
@@ -293,14 +266,14 @@ func (s *SPECU) runShard(ctx context.Context, si int, run []int32, ops *batchOps
 			for _, j := range run[k:] {
 				ops.fail(int(j), err)
 			}
-			sp.End(int64(k), stole)
+			sp.End(int64(k), callerRan)
 			return
 		}
 		osp := sp.Context().Start(ops.opMeta)
 		ops.locked(int(i), si, sh, key, osp.Context())
 		osp.End(0, 0)
 	}
-	sp.End(int64(len(run)), stole)
+	sp.End(int64(len(run)), callerRan)
 }
 
 // WriteBatch stores every op's block, returning one error slot per op

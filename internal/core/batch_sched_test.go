@@ -12,12 +12,11 @@ import (
 	"time"
 
 	"snvmm/internal/prng"
-	"snvmm/internal/telemetry"
 	"snvmm/internal/telemetry/trace"
 )
 
 // withProcs pins GOMAXPROCS for the test's duration. The coalescing
-// scheduler only engages when the pool cap resolves above 1, so on a
+// scheduler only engages when the worker count resolves above 1, so on a
 // single-core CI host these tests raise the schedulable parallelism
 // (legal above the physical core count) to exercise the parallel path.
 func withProcs(t *testing.T, n int) {
@@ -210,11 +209,11 @@ func TestBatchCoalescedPowerOffBarrier(t *testing.T) {
 // TestCoalescedReadBatchAllocRegression pins the per-op allocation budget
 // of the coalesced ReadBatch path. Coalescing adds a constant number of
 // allocations per batch (result slice, the batch closures, the run cursor
-// and its order slice, one helper closure) on top of the per-op read, which
-// allocates only the returned plaintext (1 alloc: crossbars are sensed
+// and its order slice, the helper goroutines) on top of the per-op read,
+// which allocates only the returned plaintext (1 alloc: crossbars are sensed
 // straight into it, and the crypt kernel and the read-through allocate
 // nothing warm). A 64-op batch measured 1.2/op; the ceiling leaves ~2/op
-// for pool worker respawns and scheduling jitter but fails if per-run task
+// for goroutine starts and scheduling jitter but fails if per-run task
 // closures, per-crossbar read-out buffers or per-call crypt allocations
 // return.
 func TestCoalescedReadBatchAllocRegression(t *testing.T) {
@@ -225,8 +224,7 @@ func TestCoalescedReadBatchAllocRegression(t *testing.T) {
 	}
 	defer s.Close()
 	ctx := context.Background()
-	// Warm: fabricate every block and let the adaptive pool reach steady
-	// state before counting.
+	// Warm: fabricate every block before counting.
 	for _, r := range s.ReadBatch(ctx, addrs) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
@@ -246,87 +244,10 @@ func TestCoalescedReadBatchAllocRegression(t *testing.T) {
 	}
 }
 
-// TestAdaptivePoolGrowShrink drives the adaptive sizing policy end to
-// end: sustained submission pressure against blocked workers must grow
-// the live set toward the cap, and idleness after the backlog drains must
-// shrink it back to the floor, with the decision trail visible in the
-// telemetry counters and gauges.
-func TestAdaptivePoolGrowShrink(t *testing.T) {
-	withProcs(t, 4)
-	p := NewPool(1, 4, 64)
-	defer p.Close()
-	if got := p.Workers(); got != 4 {
-		t.Fatalf("Workers() = %d, want cap 4", got)
-	}
-	if got := p.ActiveWorkers(); got != 1 {
-		t.Fatalf("ActiveWorkers() = %d at start, want floor 1", got)
-	}
-	reg := telemetry.New()
-	p.SetTelemetry(reg)
-
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	submit := func() {
-		wg.Add(1)
-		submitWait(t, p, func() {
-			<-release
-			wg.Done()
-		})
-	}
-	// Keep submitting blockers until the pool has grown to the cap; each
-	// enqueue that finds every live worker busy counts as pressure.
-	deadline := time.Now().Add(5 * time.Second)
-	for p.ActiveWorkers() < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pool never grew past %d workers", p.ActiveWorkers())
-		}
-		submit()
-		time.Sleep(200 * time.Microsecond)
-	}
-	close(release)
-	wg.Wait()
-
-	// All workers idle now: the live set must retire back to the floor.
-	deadline = time.Now().Add(5 * time.Second)
-	for p.ActiveWorkers() > 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pool never shrank, still %d workers", p.ActiveWorkers())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	snap := reg.Snapshot()
-	if snap.Counters["specu.pool.grows"] < 3 {
-		t.Errorf("specu.pool.grows = %d, want >= 3", snap.Counters["specu.pool.grows"])
-	}
-	if snap.Counters["specu.pool.shrinks"] < 3 {
-		t.Errorf("specu.pool.shrinks = %d, want >= 3", snap.Counters["specu.pool.shrinks"])
-	}
-	if got := snap.Gauges["specu.pool.active_workers"]; got != 1 {
-		t.Errorf("specu.pool.active_workers gauge = %d, want 1", got)
-	}
-	// The decision trail records both directions.
-	var grows, shrinks int
-	for _, ev := range reg.Recorder().Events(reg.Recorder().Cap()) {
-		if ev.Subsystem != "pool" {
-			continue
-		}
-		switch ev.Name {
-		case "grow":
-			grows++
-		case "shrink":
-			shrinks++
-		}
-	}
-	if grows == 0 || shrinks == 0 {
-		t.Errorf("decision trail: %d grow / %d shrink events, want both > 0", grows, shrinks)
-	}
-}
-
 // TestBatchDispatchPolicy pins where the inline/coalesced boundary sits:
 // batches at or under inlineBatchMax run inline even with a multi-worker
-// pool serving, one op over the threshold coalesces, and a workers=1 pool
-// always dispatches inline regardless of batch size — so small batches
+// budget serving, one op over the threshold coalesces, and a workers=1
+// budget always dispatches inline regardless of batch size — so small batches
 // and single-core hosts can never pay dispatch overhead.
 func TestBatchDispatchPolicy(t *testing.T) {
 	withProcs(t, 4)
@@ -350,15 +271,15 @@ func TestBatchDispatchPolicy(t *testing.T) {
 	if err := s.PowerOn(prng.NewKey(0x111, 0x222)); err != nil {
 		t.Fatal(err)
 	}
-	// No pool attached: always inline.
+	// No budget attached: always inline.
 	if in, lk := probe(s, 2*inlineBatchMax); in != 2*inlineBatchMax || lk != 0 {
-		t.Errorf("no pool: inline=%d locked=%d, want all inline", in, lk)
+		t.Errorf("not serving: inline=%d locked=%d, want all inline", in, lk)
 	}
 	if err := s.Serve(context.Background(), 4, 0); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// At the threshold: inline despite the serving pool.
+	// At the threshold: inline despite the serving budget.
 	if in, lk := probe(s, inlineBatchMax); in != inlineBatchMax || lk != 0 {
 		t.Errorf("n=max: inline=%d locked=%d, want all inline", in, lk)
 	}
@@ -367,7 +288,7 @@ func TestBatchDispatchPolicy(t *testing.T) {
 		t.Errorf("n=max+1: inline=%d locked=%d, want all coalesced", in, lk)
 	}
 
-	// A workers=1 pool cannot run anything in parallel: inline always.
+	// A workers=1 budget cannot run anything in parallel: inline always.
 	s1 := NewSPECU(e, Parallel)
 	if err := s1.PowerOn(prng.NewKey(0x333, 0x444)); err != nil {
 		t.Fatal(err)
@@ -419,7 +340,7 @@ func TestCoalescedRunsEachOpOnce(t *testing.T) {
 			if err := s.PowerOn(prng.NewKey(0xC0, 0x5E)); err != nil {
 				t.Fatal(err)
 			}
-			p := NewPool(workers, workers, 0)
+			b := newHelperBudget(workers)
 			runs := make([]atomic.Int32, n)
 			res := make([]uint64, n)
 			// last[si] is written only inside shard si's run, which holds
@@ -431,7 +352,7 @@ func TestCoalescedRunsEachOpOnce(t *testing.T) {
 			// order is appended only at workers=1, where the caller runs
 			// every shard run itself.
 			var order []int
-			s.runCoalesced(context.Background(), p, &batchOps{
+			s.runCoalesced(context.Background(), b, &batchOps{
 				n:      n,
 				addr:   func(i int) uint64 { return addrs[i] },
 				inline: func(i int, tc trace.Context) { t.Errorf("op %d ran inline", i) },
@@ -451,7 +372,9 @@ func TestCoalescedRunsEachOpOnce(t *testing.T) {
 				},
 				fail: func(i int, err error) { t.Errorf("op %d failed: %v", i, err) },
 			}, trace.Context{})
-			p.Close()
+			if got := b.free.Load(); got != int64(workers-1) {
+				t.Errorf("%s workers=%d: %d helper tokens free after the batch, want %d", in.name, workers, got, workers-1)
+			}
 			for i := range runs {
 				if got := runs[i].Load(); got != 1 {
 					t.Errorf("%s workers=%d: op %d ran %d times", in.name, workers, i, got)
@@ -471,73 +394,186 @@ func TestCoalescedRunsEachOpOnce(t *testing.T) {
 	}
 }
 
-// TestServedPoolRunsOnlyBatchHelpers pins the SPECU's single parallelism
-// level: the only tasks a served SPECU submits are coalesced batches'
-// helpers, at most Workers()-1 per batch. Block crypts run serially inside
-// their shard run, so no per-crossbar subtask reaches the pool. Close
-// drains the queue, so afterwards tasks_done counts every accepted task.
-func TestServedPoolRunsOnlyBatchHelpers(t *testing.T) {
-	withProcs(t, 4)
-	s, addrs := benchSPECU(t, 64)
-	reg := telemetry.New()
-	s.EnableTelemetry(reg)
-	if err := s.Serve(context.Background(), 4, 0); err != nil {
-		t.Fatal(err)
-	}
-	workers := s.pool.Load().Workers()
-	const batches = 10
-	for b := 0; b < batches; b++ {
-		for i, r := range s.ReadBatch(context.Background(), addrs) {
-			if r.Err != nil {
-				t.Fatalf("batch %d slot %d: %v", b, i, r.Err)
+// probeBatch runs an n-op batch over addresses 0, BlockSize, ... through
+// runBatch and counts how many times each op ran in a coalesced shard run.
+// onLocked, when non-nil, runs first inside every coalesced op.
+func probeBatch(t *testing.T, s *SPECU, n int, onLocked func()) []atomic.Int32 {
+	t.Helper()
+	runs := make([]atomic.Int32, n)
+	s.runBatch(context.Background(), &batchOps{
+		n:      n,
+		addr:   func(i int) uint64 { return uint64(i) * BlockSize },
+		inline: func(i int, tc trace.Context) { t.Errorf("op %d ran inline", i) },
+		locked: func(i, si int, sh *shard, key prng.Key, tc trace.Context) {
+			if onLocked != nil {
+				onLocked()
 			}
+			runs[i].Add(1)
+		},
+		fail: func(i int, err error) { t.Errorf("op %d failed: %v", i, err) },
+	})
+	return runs
+}
+
+// checkRanOnce fails the test for every op that did not run exactly once.
+func checkRanOnce(t *testing.T, runs []atomic.Int32) {
+	t.Helper()
+	for i := range runs {
+		if got := runs[i].Load(); got != 1 {
+			t.Errorf("op %d ran %d times, want 1", i, got)
 		}
-	}
-	s.Close()
-	done := reg.Counter("specu.pool.tasks_done").Load()
-	if limit := int64(batches * (workers - 1)); done == 0 || done > limit {
-		t.Errorf("pool ran %d tasks for %d coalesced batches at %d workers, want 1..%d",
-			done, batches, workers, limit)
 	}
 }
 
-// TestNestedBatchInsidePoolTask issues a coalesced batch from inside a pool
-// task while every worker is occupied: one runs the batch's caller, the
-// other is parked until that batch returns, and the depth-1 queue holds
-// the batch's helper task, which no worker can start. The caller must
-// drain every run itself, cancel the helper and return instead of waiting
-// for it.
-func TestNestedBatchInsidePoolTask(t *testing.T) {
-	withProcs(t, 2)
-	s, addrs := benchSPECU(t, 32)
-	p := NewPool(2, 2, 1)
-	s.pool.Store(p)
+// TestHelperBudgetConserved races coalesced read and write batches from
+// four goroutines, one of them on a cancelled ctx, against a PowerOff
+// mid-stream. However the batches interleave, the free token count stays
+// in [0, workers-1] — helpers never outnumber the budget — and once every
+// batch has returned all workers-1 tokens are free again.
+func TestHelperBudgetConserved(t *testing.T) {
+	withProcs(t, 4)
+	s, addrs := benchSPECU(t, 64)
+	if err := s.Serve(context.Background(), 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	b := s.budget.Load()
+	want := int64(b.workers - 1)
+	if want != 3 {
+		t.Fatalf("budget resolved %d helper tokens at workers=4, want 3", want)
+	}
+	ops := make([]WriteOp, len(addrs))
+	for i := range ops {
+		ops[i] = WriteOp{Addr: addrs[i], Data: batchPayload(i)}
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	ok := func(err error) bool {
+		return err == nil || errors.Is(err, ErrNoKey) || errors.Is(err, context.Canceled)
+	}
 
-	started := make(chan struct{})
-	done := make(chan struct{})
-	var res []ReadResult
-	submitWait(t, p, func() {
-		<-started // the other worker is parked: nobody can run a helper
-		res = s.ReadBatch(context.Background(), addrs)
-		close(done)
-	})
-	submitWait(t, p, func() {
-		close(started)
-		<-done
-	})
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		// No Close: it would wait on the deadlocked workers.
-		t.Fatal("batch issued from inside a pool task never completed")
-	}
-	s.Close()
-	if len(res) != len(addrs) {
-		t.Fatalf("%d results for %d addresses", len(res), len(addrs))
-	}
-	for i, r := range res {
-		if r.Err != nil || r.Addr != addrs[i] || len(r.Data) != BlockSize {
-			t.Errorf("slot %d: addr %#x, %d bytes, err %v", i, r.Addr, len(r.Data), r.Err)
+	stop := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			if f := b.free.Load(); f < 0 || f > want {
+				t.Errorf("free helper tokens = %d, want in [0, %d]", f, want)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
 		}
+	}()
+	midStream := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ctx := context.Background()
+			if g == 3 {
+				ctx = cancelled
+			}
+			for iter := 0; iter < 6; iter++ {
+				if g%2 == 0 {
+					for i, err := range s.WriteBatch(ctx, ops) {
+						if !ok(err) {
+							t.Errorf("goroutine %d write slot %d: %v", g, i, err)
+						}
+					}
+				} else {
+					for i, r := range s.ReadBatch(ctx, addrs) {
+						if !ok(r.Err) {
+							t.Errorf("goroutine %d read slot %d: %v", g, i, r.Err)
+						}
+					}
+				}
+				if g == 0 && iter == 2 {
+					close(midStream)
+				}
+			}
+		}(g)
+	}
+	<-midStream
+	if err := s.PowerOff(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	close(stop)
+	<-sampled
+	if got := b.free.Load(); got != want {
+		t.Errorf("%d helper tokens free after every batch returned, want %d", got, want)
+	}
+}
+
+// TestExhaustedBudgetBatchRunsEachOpOnce takes every helper token, as
+// batches already in flight would, and issues a 64-op coalesced batch: it
+// finds no token, so its caller drains every run alone instead of waiting
+// for a helper, and each op runs exactly once.
+func TestExhaustedBudgetBatchRunsEachOpOnce(t *testing.T) {
+	withProcs(t, 4)
+	s := NewSPECU(engineForTest(t), Parallel)
+	if err := s.PowerOn(prng.NewKey(0xE7, 0x7E)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Serve(context.Background(), 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	b := s.budget.Load()
+	if got := b.take(b.workers); got != 3 {
+		t.Fatalf("took %d helper tokens, want 3", got)
+	}
+	checkRanOnce(t, probeBatch(t, s, 64, nil))
+	if got := b.free.Load(); got != 0 {
+		t.Errorf("exhausted budget has %d free tokens after the batch, want 0", got)
+	}
+}
+
+// TestCloseMidBatchThenServe closes the SPECU while a coalesced batch is
+// inside a shard run and serves it again at once. The new budget starts
+// with every token free, whatever the old batch holds; the old batch then
+// finishes with each op run once and returns its tokens to the old budget.
+func TestCloseMidBatchThenServe(t *testing.T) {
+	withProcs(t, 4)
+	s := NewSPECU(engineForTest(t), Parallel)
+	if err := s.PowerOn(prng.NewKey(0xC1, 0x05)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Serve(context.Background(), 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	old := s.budget.Load()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	done := make(chan []atomic.Int32)
+	go func() {
+		done <- probeBatch(t, s, 64, func() {
+			once.Do(func() {
+				close(entered)
+				<-release
+			})
+		})
+	}()
+	<-entered
+	s.Close()
+	if s.Serving() {
+		t.Fatal("still serving after Close")
+	}
+	if err := s.Serve(context.Background(), 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if nb := s.budget.Load(); nb == old || nb.free.Load() != 3 {
+		t.Errorf("new budget has %d free tokens, want a fresh budget with 3", nb.free.Load())
+	}
+	close(release)
+	checkRanOnce(t, <-done)
+	if got := old.free.Load(); got != 3 {
+		t.Errorf("old budget has %d free tokens after its batch returned, want 3", got)
 	}
 }

@@ -53,7 +53,7 @@ type shard struct {
 // SPECU is the Sneak Path Encryption Control Unit: it sits between the L2
 // cache and the NVMM, holds the key in volatile storage while powered, and
 // drives block encryption/decryption. All methods are safe for concurrent
-// use; see Serve for the batched, worker-pool-driven fast path.
+// use; see Serve for the batched, parallel fast path.
 type SPECU struct {
 	eng  *Engine
 	mode Mode
@@ -69,9 +69,9 @@ type SPECU struct {
 
 	shards [NumShards]shard
 
-	// pool, when non-nil, runs the coalesced shard runs of batch
-	// operations in parallel.
-	pool atomic.Pointer[Pool]
+	// budget, when non-nil, is the helper budget (Serve) that lets
+	// coalesced batches run their shard runs in parallel.
+	budget atomic.Pointer[helperBudget]
 
 	// tel, when non-nil, is the resolved instrument set (EnableTelemetry).
 	// The disabled fast path is this one load and a branch.
@@ -114,10 +114,9 @@ const (
 )
 
 // EnableTracing attaches a causal tracer: every batch becomes a trace
-// root whose spans follow the op through coalesced shard runs, pool
-// claim/steal, the block crypts and down to the pulse trains. Passing nil
-// detaches; a detached SPECU pays one atomic load and a branch per batch
-// and zero allocations.
+// root whose spans follow the op through coalesced shard runs, the block
+// crypts and down to the pulse trains. Passing nil detaches; a detached
+// SPECU pays one atomic load and a branch per batch and zero allocations.
 func (s *SPECU) EnableTracing(tr *trace.Tracer) {
 	if tr != nil {
 		tr.NameLane(laneCaller, "batch caller")

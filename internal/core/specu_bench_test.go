@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"snvmm/internal/prng"
@@ -151,6 +152,55 @@ func BenchmarkSPECUEncryptBatch(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
+				}
+			}
+			b.ReportMetric(float64(b.N*len(addrs))/b.Elapsed().Seconds(), "blocks/s")
+		})
+	}
+}
+
+// BenchmarkHelperSpawn is what one helper adds to a coalesced batch on
+// top of its shard runs: take a budget token, start a goroutine that gives
+// it back, and join it. EXPERIMENTS.md sets it against the batch benches.
+func BenchmarkHelperSpawn(b *testing.B) {
+	budget := newHelperBudget(2)
+	if budget.workers < 2 {
+		b.Skip("needs GOMAXPROCS >= 2 for a helper token")
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < b.N; i++ {
+		n := budget.take(1)
+		wg.Add(n)
+		for range n {
+			go func() {
+				budget.give()
+				wg.Done()
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// BenchmarkInlineThreshold reads inlineBatchMax+1 blocks per ReadBatch, the
+// smallest batch that coalesces: inline at workers=1, coalesced with one
+// helper at workers=2. Coalescing must not lose here, or inlineBatchMax is
+// too low.
+func BenchmarkInlineThreshold(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(benchName(workers), func(b *testing.B) {
+			s, addrs := benchSPECU(b, inlineBatchMax+1)
+			if err := s.Serve(context.Background(), workers, 0); err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			if s.budget.Load().workers != workers {
+				b.Skip("GOMAXPROCS clamps the worker count")
+			}
+			ctx := context.Background()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res := s.ReadBatch(ctx, addrs); res[0].Err != nil {
+					b.Fatal(res[0].Err)
 				}
 			}
 			b.ReportMetric(float64(b.N*len(addrs))/b.Elapsed().Seconds(), "blocks/s")

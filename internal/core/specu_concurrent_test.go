@@ -252,7 +252,7 @@ func TestSPECUServeLifecycle(t *testing.T) {
 		t.Errorf("fallback ReadBatch: %+v", res[0])
 	}
 
-	// Context cancellation detaches the pool.
+	// Context cancellation detaches the helper budget.
 	ctx, cancel := context.WithCancel(context.Background())
 	if err := s.Serve(ctx, 2, 4); err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestSPECUServeLifecycle(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if s.Serving() {
-		t.Error("pool still attached after context cancellation")
+		t.Error("budget still attached after context cancellation")
 	}
 }
 
@@ -288,7 +288,7 @@ func TestSPECUBatchCancellation(t *testing.T) {
 }
 
 // TestSPECUBatchRoundTrip exercises WriteBatch/ReadBatch/EncryptBatch/
-// DecryptBatch through a live pool across many shards.
+// DecryptBatch through a served SPECU across many shards.
 func TestSPECUBatchRoundTrip(t *testing.T) {
 	e := engineForTest(t)
 	s := NewSPECU(e, Serial)
@@ -479,47 +479,4 @@ func TestSPECUTelemetryBarrierSpans(t *testing.T) {
 	if flushedTotal != numAddrs {
 		t.Errorf("flush counts across barriers sum to %d, want %d", flushedTotal, numAddrs)
 	}
-}
-
-// --- Pool unit tests ---
-
-// submitWait offers f to p until a queue slot frees, failing the test if
-// none does within a few seconds. The pool itself never blocks a
-// submitter; tests that want every task queued use this.
-func submitWait(t *testing.T, p *Pool, f func()) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !p.TrySubmit(f) {
-		if time.Now().After(deadline) {
-			t.Fatal("pool queue never accepted the task")
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-}
-
-func TestPoolRunsEveryTaskOnce(t *testing.T) {
-	p := NewPool(1, 4, 2)
-	var n atomic.Int64
-	const tasks = 100
-	for i := 0; i < tasks; i++ {
-		submitWait(t, p, func() { n.Add(1) })
-	}
-	p.Close()
-	if got := n.Load(); got != tasks {
-		t.Errorf("ran %d tasks, want %d", got, tasks)
-	}
-}
-
-func TestPoolSubmitAfterClose(t *testing.T) {
-	p := NewPool(1, 1, 1)
-	p.Close()
-	if p.TrySubmit(func() {}) {
-		t.Error("TrySubmit after Close returned true")
-	}
-}
-
-func TestPoolCloseIdempotent(t *testing.T) {
-	p := NewPool(2, 2, 2)
-	p.Close()
-	p.Close() // must not panic or hang
 }

@@ -13,7 +13,7 @@ import (
 // into a specuTel struct published through an atomic pointer; the data
 // path then pays one load-and-branch when telemetry is off, and padded
 // atomic updates plus two clock reads per operation when it is on. Only
-// aggregates are exported — per-shard distributions, totals, pool depth.
+// aggregates are exported — per-shard distributions, totals, gauges.
 // Nothing is keyed by block address or key material (see DESIGN.md
 // "Telemetry & introspection" for the side-channel rationale).
 
@@ -120,9 +120,9 @@ func (t *specuTel) observeWrite(si int, start int64) {
 // created under the "specu." prefix; per-shard histograms are named
 // specu.shardNN.{read,write,encrypt,decrypt}. Enabling is idempotent in
 // effect (instruments are shared by name) and safe to race with data
-// operations; passing nil detaches the instrumentation. If a worker pool
-// is already serving it is wired too, as is any pool attached later by
-// Serve.
+// operations; passing nil detaches the instrumentation. The
+// specu.pool.workers gauge reports the worker count of a budget already
+// serving, or of one attached later by Serve.
 func (s *SPECU) EnableTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		s.tel.Store(nil)
@@ -145,8 +145,8 @@ func (s *SPECU) EnableTelemetry(reg *telemetry.Registry) {
 	}
 	t.attachSLO(s.sloEng.Load())
 	s.tel.Store(t)
-	if p := s.pool.Load(); p != nil {
-		wirePool(p, reg)
+	if b := s.budget.Load(); b != nil {
+		wirePool(b, reg)
 	}
 }
 
@@ -170,11 +170,9 @@ func (s *SPECU) EnableSLO(e *slo.Engine) {
 	}
 }
 
-// wirePool attaches the pool-health instruments: the static worker cap
-// gauge here, the live scheduler gauges/counters/events via SetTelemetry.
-func wirePool(p *Pool, reg *telemetry.Registry) {
-	reg.Gauge("specu.pool.workers").Set(int64(p.Workers()))
-	p.SetTelemetry(reg)
+// wirePool sets the specu.pool.workers gauge to the budget's worker count.
+func wirePool(b *helperBudget, reg *telemetry.Registry) {
+	reg.Gauge("specu.pool.workers").Set(int64(b.workers))
 }
 
 // addPlaintext moves the plaintext-blocks gauge by delta; a no-op on a nil

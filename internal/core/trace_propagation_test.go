@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"snvmm/internal/prng"
-	"snvmm/internal/telemetry"
 	"snvmm/internal/telemetry/trace"
 )
 
@@ -133,69 +132,5 @@ func TestTracePropagationAcrossPowerOff(t *testing.T) {
 	}
 	if err := trace.ValidateChrome(buf.Bytes()); err != nil {
 		t.Errorf("Chrome export invalid: %v", err)
-	}
-}
-
-// TestPoolStealRate pins the steal-rate accounting: the rate is
-// steals/(steals+completed), exported live on the specu.pool.steal_rate
-// gauge.
-func TestPoolStealRate(t *testing.T) {
-	withProcs(t, 4)
-	p := NewPool(1, 2, 8)
-	defer p.Close()
-	reg := telemetry.New()
-	p.SetTelemetry(reg)
-
-	if got := p.StealRate(); got != 0 {
-		t.Errorf("StealRate() = %v before any work, want 0", got)
-	}
-	for i := 0; i < 3; i++ {
-		submitWait(t, p, func() {})
-	}
-	// A task counts as done only after it returns, so wait on the pool's
-	// own count rather than on a signal from inside the tasks.
-	for p.done.Load() < 3 {
-		time.Sleep(50 * time.Microsecond)
-	}
-	p.NoteSteal()
-	if got, want := p.StealRate(), 0.25; got != want {
-		t.Errorf("StealRate() = %v after 1 steal / 3 tasks, want %v", got, want)
-	}
-	if got := reg.FloatGauge("specu.pool.steal_rate").Load(); got != 0.25 {
-		t.Errorf("steal_rate gauge = %v, want 0.25", got)
-	}
-	if got := reg.Counter("specu.pool.steals").Load(); got != 1 {
-		t.Errorf("steals counter = %d, want 1", got)
-	}
-}
-
-// TestCoalescedBatchStealRateSignal drives a coalesced batch through a
-// served pool and checks the steal accounting moved. A steal is a shard run
-// the batch's caller executed itself from the shared run cursor rather than
-// a pool helper. The caller starts taking runs as soon as its helpers are
-// offered, so a 64-op batch (~27 runs) records steals.
-func TestCoalescedBatchStealRateSignal(t *testing.T) {
-	withProcs(t, 4)
-	s, addrs := benchSPECU(t, 64)
-	reg := telemetry.New()
-	s.EnableTelemetry(reg)
-	if err := s.Serve(context.Background(), 2, 1); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for _, r := range s.ReadBatch(context.Background(), addrs) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-	p := s.pool.Load()
-	if p == nil {
-		t.Fatal("no pool attached")
-	}
-	if p.steals.Load() == 0 {
-		t.Error("no caller-executed runs recorded as steals")
-	}
-	if rate := p.StealRate(); rate <= 0 || rate > 1 {
-		t.Errorf("StealRate() = %v, want in (0, 1]", rate)
 	}
 }

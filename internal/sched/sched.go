@@ -1,5 +1,5 @@
 // Package sched centralizes the worker-count policy shared by the repo's
-// CPU-bound parallel paths (the SPECU worker pool, simulation sweeps, the
+// CPU-bound parallel paths (the SPECU's batch helpers, simulation sweeps, the
 // WarmAll characterization fan-out, the Monte-Carlo sampler).
 //
 // Every one of those paths runs pure CPU work, so goroutines beyond the
@@ -7,7 +7,7 @@
 // overhead — BENCH_specu.json measured workers=8 sharded reads at 160 µs vs
 // 117 µs sequential on a 1-vCPU host before the clamp was introduced. The
 // clamp used to be copy-pasted per call site; this package is the single
-// definition, and the adaptive pool sizing derives its bounds from it.
+// definition, and the SPECU's helper budget is sized from it.
 package sched
 
 import "runtime"

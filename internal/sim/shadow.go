@@ -22,8 +22,9 @@ import (
 // timing run without dominating it (every shadowed op is a real 4-crossbar
 // pulse sequence).
 type ShadowConfig struct {
-	// Workers and Depth configure the SPECU worker pool (<= 0: defaults).
-	Workers, Depth int
+	// Workers is the SPECU's worker count for coalesced batches (<= 0:
+	// GOMAXPROCS; see core.SPECU.Serve).
+	Workers int
 	// MaxBlocks caps how many distinct block addresses are tracked; ops on
 	// further addresses are ignored once the cap is hit (0 = 256).
 	MaxBlocks int
@@ -60,7 +61,7 @@ type Shadow struct {
 }
 
 // NewShadow fabricates a default-parameter SPE engine, powers a SPECU on
-// with a seed-derived key and starts its worker pool.
+// with a seed-derived key and serves it with cfg.Workers.
 func NewShadow(ctx context.Context, cfg ShadowConfig, seed int64) (*Shadow, error) {
 	if cfg.MaxBlocks <= 0 {
 		cfg.MaxBlocks = 256
@@ -80,7 +81,7 @@ func NewShadow(ctx context.Context, cfg ShadowConfig, seed int64) (*Shadow, erro
 	if err := s.PowerOn(prng.NewKey(g.Uint64(), g.Uint64())); err != nil {
 		return nil, err
 	}
-	if err := s.Serve(ctx, cfg.Workers, cfg.Depth); err != nil {
+	if err := s.Serve(ctx, cfg.Workers, 0); err != nil {
 		return nil, err
 	}
 	if ctx == nil {
@@ -255,7 +256,7 @@ func (s *Shadow) Drain() {
 	s.flushLocked()
 }
 
-// Close drains the window and stops the SPECU's worker pool.
+// Close drains the window and stops serving the SPECU.
 func (s *Shadow) Close() {
 	s.Drain()
 	s.specu.Close()

@@ -186,17 +186,19 @@ type WriteOp = core.WriteOp
 // ReadResult is one element of a batched read result (see ReadBatch).
 type ReadResult = core.ReadResult
 
-// Serve starts the device's SPECU worker pool: block operations submitted
-// through WriteBatch/ReadBatch are spread across `workers` goroutines
-// behind a bounded queue of the given depth (<= 0 selects defaults), and
-// each block's crossbars pulse in parallel. Cancelling ctx stops the pool.
-// The synchronous Read/Write API keeps working and shares the pool.
+// Serve lets the device's batched operations run in parallel: a
+// WriteBatch/ReadBatch groups its ops into one run per touched SPECU shard
+// and drains the runs on its caller plus up to `workers`-1 helper
+// goroutines (<= 0 selects GOMAXPROCS), drawn from one budget that every
+// batch on the device shares. depth is unused. Cancelling ctx stops
+// serving. The synchronous Read/Write API is unaffected: each call runs on
+// its caller's goroutine.
 func (d *Device) Serve(ctx context.Context, workers, depth int) error {
 	return d.specu.Serve(ctx, workers, depth)
 }
 
-// StopServing drains and detaches the worker pool; batched operations fall
-// back to the sequential path.
+// StopServing detaches the helper budget. Batches already running finish;
+// later batched operations take the sequential path.
 func (d *Device) StopServing() { d.specu.Close() }
 
 // WriteBatch stores many blocks at once, returning one error slot per op.
