@@ -23,6 +23,7 @@ fuzz:
 	$(GO) test ./internal/core -run xxx -fuzz FuzzSPERoundTrip -fuzztime 30s
 	$(GO) test ./internal/cipher/stream -run xxx -fuzz FuzzStreamRoundTrip -fuzztime 30s
 	$(GO) test ./internal/trace -run xxx -fuzz FuzzParseWorkload -fuzztime 30s
+	$(GO) test ./internal/xbar -run xxx -fuzz FuzzTrackerMatchesScratch -fuzztime 30s
 
 # The hardened attack tier: the red-team harness (side channels, crash
 # injection, exposure windows), the attack cost models, and the secure-engine
@@ -35,17 +36,18 @@ test-attacks:
 		| $(GO) run ./cmd/benchjson -require 4 -o BENCH_attacks.json
 	@cat BENCH_attacks.json
 
-# SPECU hot-path benchmarks (block crypt + sharded pipeline), archived as
-# JSON so runs can be diffed across commits (EXPERIMENTS.md records the
-# headline numbers). The second core run repeats the coalesced batch benches
+# SPECU hot-path benchmarks (deviation-sum sync, block crypt + sharded
+# pipeline), archived as JSON so runs can be diffed across commits
+# (EXPERIMENTS.md records the headline numbers). The second core run repeats the coalesced batch benches
 # at -cpu 4 so the archive carries the multi-core matrix (benchjson derives
 # speedup_vs_w1 per -cpu level); on a host with fewer than 4 vCPUs those
 # rows oversubscribe the cores (sched.Workers clamps to GOMAXPROCS), so
 # ci.sh gates parallel efficiency on a -cpu 1,$(nproc) matrix instead.
 bench:
-	( $(GO) test ./internal/core -run xxx -bench 'BenchmarkBlock|BenchmarkNewBlock|BenchmarkSPECU' -benchtime 20x -benchmem ; \
+	( $(GO) test ./internal/xbar -run xxx -bench 'BenchmarkDeviationSync' -benchmem ; \
+	  $(GO) test ./internal/core -run xxx -bench 'BenchmarkBlock|BenchmarkNewBlock|BenchmarkSPECU' -benchtime 20x -benchmem ; \
 	  $(GO) test ./internal/core -run xxx -bench 'BenchmarkSPECU(ShardedRead|EncryptBatch)' -benchtime 20x -benchmem -cpu 4 ) \
-		| $(GO) run ./cmd/benchjson -require 23 -o BENCH_specu.json
+		| $(GO) run ./cmd/benchjson -require 27 -o BENCH_specu.json
 	@cat BENCH_specu.json
 	$(GO) test ./internal/poe -run xxx -bench 'BenchmarkPlacement' -benchtime 1x -benchmem \
 		| $(GO) run ./cmd/benchjson -require 2 -o BENCH_ilp.json

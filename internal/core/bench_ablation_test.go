@@ -9,12 +9,12 @@ import (
 )
 
 // Telemetry ablation: the same single-goroutine SPECU overwrite path (the
-// write phase plus one block encrypt) with instrumentation detached versus
-// attached. The "off" variant is the number that must stay glued to the
-// BlockEncrypt cost — the disabled fast path is one atomic load and a
-// branch per call site — and the on/off delta bounds the full enabled cost
-// (two clock reads plus a handful of padded atomic updates per operation,
-// against a ~50 µs pulse sequence). Both run under the make-bench
+// write phase plus one block encrypt of new data) with instrumentation
+// detached versus attached. The "off" variant is the number that must stay
+// glued to the cost of the encrypt itself — the disabled fast path is one
+// atomic load and a branch per call site — and the on/off delta bounds the
+// full enabled cost (two clock reads plus a handful of padded atomic
+// updates per operation, against a pulse sequence of tens of µs). Both run under the make-bench
 // 'BenchmarkSPECU' pattern so the pair is archived in BENCH_specu.json.
 
 // benchAblationWrite drives b.N overwrites of s's encrypted blocks.

@@ -54,7 +54,9 @@ func benchBlockSet(b *testing.B) ([]*Block, [][]byte, prng.Key) {
 
 // BenchmarkBlockEncrypt measures one full write+encrypt per op, cycling
 // through 32 distinct blocks so no single block's lazily-built state can
-// hide the per-block cost.
+// hide the per-block cost. Each block is rewritten with the plaintext it
+// held, so the deviation syncs find no changed cells; an overwrite with new
+// data is BenchmarkSPECUEncryptTelemetryOff.
 func BenchmarkBlockEncrypt(b *testing.B) {
 	blocks, pts, key := benchBlockSet(b)
 	b.ReportAllocs()

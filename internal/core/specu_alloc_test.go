@@ -7,6 +7,7 @@ import (
 
 	"snvmm/internal/prng"
 	"snvmm/internal/telemetry/trace"
+	"snvmm/internal/xbar"
 )
 
 // TestShardedReadAllocRegression pins the allocation budget of a served
@@ -44,7 +45,9 @@ func TestShardedReadAllocRegression(t *testing.T) {
 
 // TestBlockCryptAllocFree pins the crypt kernel at zero allocations on a
 // warm block: schedules derive into the block's per-crossbar scratch and
-// the pulse path reuses the crossbar's tracker buffers.
+// the pulse path reuses the crossbar's tracker buffers. A warm read-through
+// (Save, decrypt, Rewind per crossbar) allocates exactly once: the
+// plaintext it returns.
 func TestBlockCryptAllocFree(t *testing.T) {
 	e := engineForTest(t)
 	blk, err := e.NewBlock(7)
@@ -67,7 +70,7 @@ func TestBlockCryptAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	roundTrip() // warm: schedules, tracker, journal
+	roundTrip() // warm: schedules, tracker
 	if avg := testing.AllocsPerRun(50, roundTrip); avg != 0 {
 		t.Errorf("warm Encrypt+Decrypt allocates %.1f/op, want 0", avg)
 	}
@@ -77,5 +80,23 @@ func TestBlockCryptAllocFree(t *testing.T) {
 	}
 	if !bytes.Equal(got, pt) {
 		t.Error("round trips did not restore the plaintext")
+	}
+
+	if err := blk.crypt(key, 0x40, false, trace.Context{}); err != nil {
+		t.Fatal(err)
+	}
+	var snap xbar.Snapshot
+	readThrough := func() {
+		got, err := blk.readThrough(key, 0x40, &snap, trace.Context{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, pt) {
+			t.Fatal("read-through did not return the plaintext")
+		}
+	}
+	readThrough() // warm: snapshot buffers
+	if avg := testing.AllocsPerRun(50, readThrough); avg != 1 {
+		t.Errorf("warm read-through allocates %.1f/op, want 1 (the returned plaintext)", avg)
 	}
 }

@@ -46,7 +46,8 @@ type Calibration struct {
 	cfg Config
 	xb  *Crossbar // reference crossbar used for solves (nominal state)
 
-	poes []poeCal // per PoE (linear cell index)
+	poes   []poeCal     // per PoE (linear cell index)
+	nslots atomic.Int32 // tracker slots handed out to built PoEs
 
 	sk calSketch // shared device sketch (sketch path only), built lazily
 }
@@ -63,6 +64,7 @@ type poeCal struct {
 	started atomic.Bool
 	done    atomic.Bool
 
+	slot     int // dense index of this PoE's state in a crossbar's tracker
 	shape    []Cell
 	shapeIdx []int32 // linear index of each shape cell
 	inShape  []bool
@@ -75,6 +77,15 @@ type poeCal struct {
 	compIdx []int32
 	compPos []int32
 	wflat   [][]int64
+
+	// The incremental tracker's view of the same kernel: wT holds the
+	// weights complement-major (wT[j*S+k] = wflat[k][j], S shape cells),
+	// so one changed cell updates one contiguous stripe; compMask marks
+	// the compIdx cells in the crossbar's packed-level layout; acc0 is
+	// the deviation sums at the all-level-0 state.
+	wT       []int64
+	compMask []uint64
+	acc0     []int64
 
 	edges [][2]float64
 }
@@ -113,7 +124,10 @@ const sensDelta = 0.25
 const calSamples = 512
 
 // ensure computes the calibration record for one PoE, exactly once even
-// under concurrent first touch.
+// under concurrent first touch, and hands a built record the next dense
+// tracker slot. done is stored once, by the build: the pulse path calls
+// ensure per pulse from every helper, and a store there would bounce the
+// record's cache line between cores.
 func (c *Calibration) ensure(poe Cell) error {
 	pi := c.poeIndex(poe)
 	if pi < 0 {
@@ -130,8 +144,12 @@ func (c *Calibration) ensure(poe Cell) error {
 			t.builds.Inc()
 		}
 	}
-	pc.once.Do(func() { pc.err = c.build(poe, pc) })
-	pc.done.Store(true)
+	pc.once.Do(func() {
+		if pc.err = c.build(poe, pc); pc.err == nil {
+			pc.slot = int(c.nslots.Add(1) - 1)
+		}
+		pc.done.Store(true)
+	})
 	return pc.err
 }
 
@@ -149,7 +167,8 @@ func (c *Calibration) poeIndex(poe Cell) int {
 // build does the actual per-PoE characterization work, dispatching between
 // the legacy dense path (one factorization per PoE; bit-for-bit stable, it
 // backs the 8x8 golden vectors) and the shared-sketch path that makes
-// 32x32+ devices tractable (see calibrate_sparse.go).
+// 32x32+ devices tractable (see calibrate_sparse.go), then derives the
+// layouts the pulse path reads from either.
 func (c *Calibration) build(poe Cell, pc *poeCal) error {
 	var err error
 	if c.useSketch() {
@@ -163,6 +182,19 @@ func (c *Calibration) build(poe Cell, pc *poeCal) error {
 	pc.shapeIdx = make([]int32, len(pc.shape))
 	for k, cell := range pc.shape {
 		pc.shapeIdx[k] = int32(cell.Row*c.cfg.Cols + cell.Col)
+	}
+	s := len(pc.wflat)
+	pc.wT = make([]int64, len(pc.compIdx)*s)
+	pc.acc0 = make([]int64, s)
+	for k, row := range pc.wflat {
+		for j, w := range row {
+			pc.wT[j*s+k] = w
+			pc.acc0[k] += w * levelQ(0)
+		}
+	}
+	pc.compMask = make([]uint64, (c.cfg.Cells()+31)/32)
+	for _, m := range pc.compIdx {
+		pc.compMask[m>>5] |= 3 << (uint(m&31) * 2)
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ type Crossbar struct {
 	Cfg    Config
 	params []device.Params // per-cell (fabrication-varied) parameters; read-only, shared when unvaried
 	levels []int           // per-cell MLC level, row-major
+	packed []uint64        // levels again, 2 bits per cell, 32 cells per word
 	wear   []uint64        // per-cell pulse count, for endurance studies
 	trk    *devTracker     // incremental deviation state for the pulse path
 	trace  *traceState     // optional per-pulse side-channel sink (nil = off)
@@ -27,6 +28,7 @@ func New(cfg Config) (*Crossbar, error) {
 		Cfg:    cfg,
 		params: cfg.cellParams(),
 		levels: make([]int, n),
+		packed: make([]uint64, (n+31)/32),
 		wear:   make([]uint64, n),
 	}, nil
 }
@@ -49,7 +51,7 @@ func (x *Crossbar) SetLevels(levels []int) error {
 		}
 	}
 	copy(x.levels, levels)
-	x.invalidateTracker()
+	x.pack()
 	return nil
 }
 
@@ -76,8 +78,23 @@ func (x *Crossbar) WriteBlock(data []byte) error {
 		x.levels[i] = device.BitsLevel(bits)
 		x.wear[i]++
 	}
-	x.invalidateTracker()
+	x.pack()
 	return nil
+}
+
+// pack rebuilds the packed levels from levels after a bulk write.
+func (x *Crossbar) pack() {
+	clear(x.packed)
+	for i, l := range x.levels {
+		x.packed[i>>5] |= uint64(l) << (uint(i&31) * 2)
+	}
+}
+
+// setLevel sets cell i to level l in both representations.
+func (x *Crossbar) setLevel(i, l int) {
+	x.levels[i] = l
+	sh := uint(i&31) * 2
+	x.packed[i>>5] = x.packed[i>>5]&^(3<<sh) | uint64(l)<<sh
 }
 
 // ReadBlock senses the array (transistor-gated, sneak-free) and returns the

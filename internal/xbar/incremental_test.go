@@ -2,66 +2,69 @@ package xbar
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"snvmm/internal/device"
 )
 
-// TestIncrementalDeviationsMatchScratch drives a long random pulse sequence
-// and, after every pulse, checks that the journal-replay accumulator of
-// every touched PoE agrees bit-for-bit with a from-scratch recompute.
-// Decryption correctness rests on this exactness: if replay and scratch
-// could disagree in even one ULP, the mixer words — and therefore the level
+// TestIncrementalDeviationsMatchScratch drives a long random mix of pulses,
+// block writes, SetLevels and Save/Rewind at 8x8 and 16x16 and, after every
+// step, checks the tracker invariant (checkTracker): the packed words equal
+// the levels, and every live accumulator equals a from-scratch reference sum
+// at the levels it was last synced to. Every pulse must also have read the
+// exact sums of the levels it found (pulseErr), and every few steps all
+// live PoEs are synced and checked against the current levels too. Decryption
+// correctness rests on this exactness: if the diff and a recompute could
+// disagree in even one ULP, the mixer words — and therefore the level
 // permutations — would diverge between encrypt and decrypt.
 func TestIncrementalDeviationsMatchScratch(t *testing.T) {
-	xb, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal := Calibrate(xb)
 	rng := rand.New(rand.NewSource(7))
-	poes := []Cell{{0, 0}, {2, 4}, {5, 1}, {7, 7}, {3, 3}, {6, 2}}
-	levels := make([]int, xb.Cfg.Cells())
-	for i := range levels {
-		levels[i] = rng.Intn(device.Levels)
-	}
-	if err := xb.SetLevels(levels); err != nil {
-		t.Fatal(err)
-	}
-	scratch := make([]int64, xb.Cfg.Cells())
-	// Enough pulses to cross the journal-compaction boundary several times.
-	for step := 0; step < 400; step++ {
-		poe := poes[rng.Intn(len(poes))]
-		if err := xb.ApplyPulse(cal, poe, rng.Intn(device.NumPulses)); err != nil {
+	for _, cfg := range []Config{DefaultConfig(), sizedConfig(16, 16)} {
+		xb, err := New(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		trk := xb.trk
-		if trk == nil {
-			t.Fatal("ApplyPulse left no tracker")
-		}
-		for _, p := range poes {
-			pi := cal.cfg.Index(p)
-			pc := &cal.poes[pi]
-			if trk.acc[pi] == nil {
-				continue // never pulsed yet
-			}
-			acc := trk.sync(pi, pc, xb.levels)
-			pc.deviationsInto(scratch[:len(pc.shape)], xb.levels, nil)
-			ref := deviationsRef(pc, xb.levels)
-			for k := range acc {
-				if acc[k] != scratch[k] || scratch[k] != ref[k] {
-					t.Fatalf("step %d PoE %+v cell %d: incremental %d, scratch %d, reference %d",
-						step, p, k, acc[k], scratch[k], ref[k])
+		cal := Calibrate(xb)
+		poes := []Cell{{0, 0}, {2, 4}, {5, 1}, {7, 7}, {3, 3}, {6, 2}}
+		var snap Snapshot
+		saved := false
+		for step := 0; step < 600; step++ {
+			switch op := rng.Intn(20); {
+			case op == 0:
+				data := make([]byte, xb.BlockBytes())
+				rng.Read(data)
+				if err := xb.WriteBlock(data); err != nil {
+					t.Fatal(err)
 				}
+				saved = false
+			case op == 1:
+				if err := xb.SetLevels(randomLevels(rng, cfg.Cells())); err != nil {
+					t.Fatal(err)
+				}
+				saved = false
+			case op == 2:
+				xb.Save(&snap)
+				saved = true
+			case op == 3 && saved:
+				xb.Rewind(&snap)
+			default:
+				applyPulse(t, xb, cal, poes[rng.Intn(len(poes))], rng.Intn(device.NumPulses))
+			}
+			checkTracker(t, xb, cal)
+			if step%7 == 0 {
+				syncAll(t, xb, cal)
 			}
 		}
+		syncAll(t, xb, cal)
 	}
 
-	// The gathered scratch kernel against the reference double loop, for
-	// every PoE of the paper's 8x8 device and of a 16x16 sketch
-	// calibration, with random levels. One gather buffer is reused across
+	// The gathered scratch kernel and the first-touch sums against the
+	// reference double loop, for every PoE of the paper's 8x8 device and of
+	// a 16x16 sketch calibration, with random levels. One gather buffer is reused across
 	// PoEs of different complement sizes, as a crossbar's tracker reuses it.
 	for _, cfg := range []Config{DefaultConfig(), sizedConfig(16, 16)} {
 		x, err := New(cfg)
@@ -76,6 +79,9 @@ func TestIncrementalDeviationsMatchScratch(t *testing.T) {
 		var q []int64
 		for pi := range c.poes {
 			pc := &c.poes[pi]
+			if !slices.Equal(pc.acc0, deviationsRef(pc, make([]int, cfg.Cells()))) {
+				t.Fatalf("%dx%d PoE %d: acc0 %v is not the all-level-0 sum", cfg.Rows, cfg.Cols, pi, pc.acc0)
+			}
 			for trial := 0; trial < 4; trial++ {
 				for i := range lv {
 					lv[i] = rng.Intn(device.Levels)
@@ -92,6 +98,115 @@ func TestIncrementalDeviationsMatchScratch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// randomLevels returns n uniformly random cell levels.
+func randomLevels(rng *rand.Rand, n int) []int {
+	lv := make([]int, n)
+	for i := range lv {
+		lv[i] = rng.Intn(device.Levels)
+	}
+	return lv
+}
+
+// packLevels is the reference packing: 2 bits per cell, 32 cells per word.
+func packLevels(levels []int) []uint64 {
+	out := make([]uint64, (len(levels)+31)/32)
+	for i, l := range levels {
+		out[i/32] |= uint64(l) << (2 * (i % 32))
+	}
+	return out
+}
+
+// unpackLevels inverts packLevels for n cells.
+func unpackLevels(words []uint64, n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = int(words[i/32] >> (2 * (i % 32)) & 3)
+	}
+	return out
+}
+
+// livePoEs returns the calibration record of every PoE x's tracker has
+// pulsed; its state is x.trk.poes[pc.slot].
+func livePoEs(x *Crossbar, cal *Calibration) []*poeCal {
+	if x.trk == nil || x.trk.cal != cal {
+		return nil
+	}
+	var pcs []*poeCal
+	for pi := range cal.poes {
+		pc := &cal.poes[pi]
+		if pc.done.Load() && pc.err == nil && pc.slot < len(x.trk.poes) && x.trk.poes[pc.slot].acc != nil {
+			pcs = append(pcs, pc)
+		}
+	}
+	return pcs
+}
+
+// applyPulse applies one pulse and fails t unless pulseErr passes.
+func applyPulse(t testing.TB, x *Crossbar, cal *Calibration, poe Cell, class int) {
+	t.Helper()
+	if err := pulseErr(x, cal, poe, class); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pulseErr applies one pulse and checks that the accumulator it read was
+// exact for the levels the pulse found, so a sync that skipped a changed
+// cell fails even though the tracker invariant still holds.
+func pulseErr(x *Crossbar, cal *Calibration, poe Cell, class int) error {
+	pre := x.Levels()
+	if err := x.ApplyPulse(cal, poe, class); err != nil {
+		return err
+	}
+	pc := &cal.poes[cal.poeIndex(poe)]
+	if got, want := x.trk.poes[pc.slot].acc, deviationsRef(pc, pre); !slices.Equal(got, want) {
+		return fmt.Errorf("pulse at %+v read accumulator %v, reference at the levels it found %v", poe, got, want)
+	}
+	return nil
+}
+
+// checkTracker fails t unless trackerErr finds x's tracker sound.
+func checkTracker(t testing.TB, x *Crossbar, cal *Calibration) {
+	t.Helper()
+	if err := trackerErr(x, cal); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// trackerErr checks the tracker invariant without syncing anything: x's
+// packed words equal its levels, and every live accumulator equals the
+// reference sum at the packed levels it was last synced to.
+func trackerErr(x *Crossbar, cal *Calibration) error {
+	if !slices.Equal(x.packed, packLevels(x.levels)) {
+		return fmt.Errorf("packed words %x do not match levels %v", x.packed, x.levels)
+	}
+	for _, pc := range livePoEs(x, cal) {
+		st := &x.trk.poes[pc.slot]
+		if want := deviationsRef(pc, unpackLevels(st.words, len(x.levels))); !slices.Equal(st.acc, want) {
+			return fmt.Errorf("PoE slot %d: accumulator %v, reference at its synced levels %v", pc.slot, st.acc, want)
+		}
+	}
+	return nil
+}
+
+// syncAll fails t unless syncErr finds every live PoE exact.
+func syncAll(t testing.TB, x *Crossbar, cal *Calibration) {
+	t.Helper()
+	if err := syncErr(x, cal); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// syncErr syncs every live PoE of x's tracker and checks each against the
+// reference sum at x's current levels.
+func syncErr(x *Crossbar, cal *Calibration) error {
+	for _, pc := range livePoEs(x, cal) {
+		if got, want := x.trk.sync(pc, x), deviationsRef(pc, x.levels); !slices.Equal(got, want) {
+			return fmt.Errorf("PoE slot %d: synced accumulator %v, reference %v", pc.slot, got, want)
+		}
+	}
+	return nil
 }
 
 // deviationsRef is the reference scratch kernel: the plain double loop over

@@ -72,8 +72,9 @@ func permIndex(width int, mixer uint64, cellIdx int) int {
 // The calibration may be shared across crossbars and goroutines; the
 // crossbar itself (levels, wear, tracker) must be externally serialized, as
 // before. The sneak-voltage deviations feeding the permutation choice are
-// maintained incrementally from the cells changed by earlier pulses when
-// that is cheaper than recomputing — bit-identical either way.
+// maintained incrementally from the complement cells that changed since
+// this PoE's last pulse (see devTracker.sync) — bit-identical to a
+// recompute.
 func (x *Crossbar) ApplyPulse(cal *Calibration, poe Cell, class int) error {
 	if class < 0 || class >= device.NumPulses {
 		return fmt.Errorf("xbar: pulse class %d out of range", class)
@@ -88,7 +89,7 @@ func (x *Crossbar) ApplyPulse(cal *Calibration, poe Cell, class int) error {
 	pidx := cal.poeIndex(poe)
 	pc := &cal.poes[pidx]
 	t := x.tracker(cal)
-	acc := t.sync(pidx, pc, x.levels)
+	acc := t.sync(pc, x)
 	if cap(t.mixbuf) < len(pc.shape) {
 		t.mixbuf = make([]uint64, len(pc.shape))
 	}
@@ -110,14 +111,10 @@ func (x *Crossbar) ApplyPulse(cal *Calibration, poe Cell, class int) error {
 		if negative {
 			nl = invPerms[pi][old]
 		}
-		x.levels[i] = nl
-		x.wear[i]++
 		if nl != old {
-			t.journal = append(t.journal, levelDelta{cell: int32(i), dq: int32(2 * (nl - old))})
+			x.setLevel(i, nl)
 		}
-	}
-	if len(t.journal) >= maxJournal {
-		t.compact()
+		x.wear[i]++
 	}
 	return nil
 }

@@ -6,12 +6,14 @@ package xbar
 // allocating.
 type Snapshot struct {
 	levels []int
+	packed []uint64
 	wear   []uint64
 }
 
 // Save copies the crossbar's levels and wear into s.
 func (x *Crossbar) Save(s *Snapshot) {
 	s.levels = append(s.levels[:0], x.levels...)
+	s.packed = append(s.packed[:0], x.packed...)
 	s.wear = append(s.wear[:0], x.wear...)
 }
 
@@ -22,25 +24,17 @@ func (x *Crossbar) Save(s *Snapshot) {
 // levels it found, and the whole inverse train restores the saved levels.
 // Rewind writes them back directly instead of re-deriving them pulse by
 // pulse. The wear the inverse train would add is charged all the same:
-// every cell's wear grows again by the pulses it took since Save. Restored
-// cells are journaled as a pulse journals its cells, so the incremental
-// deviation accumulators stay bit-exact.
+// every cell's wear grows again by the pulses it took since Save. The
+// deviation accumulators need no notice: each PoE's next sync diffs the
+// levels it then finds against the ones it last saw.
 //
 // Only pulses may come between Save and Rewind (a WriteBlock or SetLevels
 // in between would be charged as pulse wear), s must hold a Save of this
 // crossbar, and no trace records are emitted for the rewound pulses.
 func (x *Crossbar) Rewind(s *Snapshot) {
-	t := x.trk
-	for i, l := range s.levels {
-		if old := x.levels[i]; old != l {
-			x.levels[i] = l
-			if t != nil {
-				t.journal = append(t.journal, levelDelta{cell: int32(i), dq: int32(2 * (l - old))})
-			}
-		}
-		x.wear[i] += x.wear[i] - s.wear[i]
-	}
-	if t != nil && len(t.journal) >= maxJournal {
-		t.compact()
+	copy(x.levels, s.levels)
+	copy(x.packed, s.packed)
+	for i, w := range s.wear {
+		x.wear[i] += x.wear[i] - w
 	}
 }

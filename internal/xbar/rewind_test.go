@@ -10,95 +10,125 @@ import (
 )
 
 // TestRewindMatchesInverseTrain checks Rewind against the pulse train it
-// stands in for. Two identical crossbars take the same random forward
-// pulses; one is then rewound, the other gets the inverse pulses in reverse
-// order. Levels and per-cell wear must agree after every round, and every
-// live deviation accumulator of the rewound crossbar must equal a
-// from-scratch recompute. The rounds run long enough that Rewind's own
-// journal entries push the journal past maxJournal many times, so the
-// compaction it triggers is exercised, not just ApplyPulse's.
+// stands in for, at 8x8 and 16x16. Two identical crossbars take the same
+// random forward pulses; one is then rewound, the other gets the inverse
+// pulses in reverse order. Levels and per-cell wear must agree after every
+// round, and both trackers must hold their invariant (checkTracker) after
+// every step. Between rounds both crossbars sometimes take the same
+// WriteBlock or SetLevels, so Rewinds also land on trackers whose PoEs were
+// last synced before a bulk write.
 func TestRewindMatchesInverseTrain(t *testing.T) {
-	a, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal := Calibrate(a)
 	rng := rand.New(rand.NewSource(11))
-	levels := make([]int, a.Cfg.Cells())
-	for i := range levels {
-		levels[i] = rng.Intn(device.Levels)
-	}
-	for _, x := range []*Crossbar{a, b} {
-		if err := x.SetLevels(levels); err != nil {
+	for _, cfg := range []Config{DefaultConfig(), sizedConfig(16, 16)} {
+		a, err := New(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
+		b, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cal := Calibrate(a)
+		poes := []Cell{{0, 0}, {2, 4}, {5, 1}, {7, 7}, {3, 3}, {6, 2}, {1, 6}, {4, 5}}
+		type pulse struct {
+			poe   Cell
+			class int
+		}
+		var snap Snapshot
+		for round := 0; round < 150; round++ {
+			switch rng.Intn(8) {
+			case 0:
+				data := make([]byte, a.BlockBytes())
+				rng.Read(data)
+				for _, x := range []*Crossbar{a, b} {
+					if err := x.WriteBlock(data); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 1:
+				levels := randomLevels(rng, cfg.Cells())
+				for _, x := range []*Crossbar{a, b} {
+					if err := x.SetLevels(levels); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			checkTracker(t, a, cal)
+			checkTracker(t, b, cal)
+			train := make([]pulse, 1+rng.Intn(12))
+			for k := range train {
+				train[k] = pulse{poes[rng.Intn(len(poes))], rng.Intn(device.NumPulses)}
+			}
+			saved := a.Levels()
+			a.Save(&snap)
+			for _, p := range train {
+				for _, x := range []*Crossbar{a, b} {
+					applyPulse(t, x, cal, p.poe, p.class)
+					checkTracker(t, x, cal)
+				}
+			}
+			for k := len(train) - 1; k >= 0; k-- {
+				applyPulse(t, b, cal, train[k].poe, InverseClass(train[k].class))
+				checkTracker(t, b, cal)
+			}
+			a.Rewind(&snap)
+			checkTracker(t, a, cal)
+			if !slices.Equal(a.levels, saved) || !slices.Equal(a.levels, b.levels) {
+				t.Fatalf("%dx%d round %d: rewound levels differ from the saved state or the inverse train", cfg.Rows, cfg.Cols, round)
+			}
+			if !slices.Equal(a.wear, b.wear) {
+				t.Fatalf("%dx%d round %d: rewound wear differs from the inverse train's", cfg.Rows, cfg.Cols, round)
+			}
+		}
+		syncAll(t, a, cal)
+		syncAll(t, b, cal)
 	}
-	poes := []Cell{{0, 0}, {2, 4}, {5, 1}, {7, 7}, {3, 3}, {6, 2}, {1, 6}, {4, 5}}
-	type pulse struct {
-		poe   Cell
-		class int
-	}
-	var snap Snapshot
-	compactions := 0
-	for round := 0; round < 300; round++ {
-		train := make([]pulse, 1+rng.Intn(12))
-		for k := range train {
-			train[k] = pulse{poes[rng.Intn(len(poes))], rng.Intn(device.NumPulses)}
+}
+
+// TestInverseTrainFindsNoChanges pins the property the tracker's diff is
+// built on: the inverse pulses run in reverse order, so when a PoE's
+// inverse pulse fires every cell outside its polyomino holds the level it
+// held at that PoE's forward pulse. An inverse train applied right after
+// its forward train must therefore find zero changed complement cells at
+// every pulse, on fresh data and on data the tracker has seen before.
+func TestInverseTrainFindsNoChanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, cfg := range []Config{DefaultConfig(), sizedConfig(16, 16)} {
+		x, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		saved := a.Levels()
-		a.Save(&snap)
-		for _, p := range train {
-			if err := a.ApplyPulse(cal, p.poe, p.class); err != nil {
-				t.Fatal(err)
+		cal := Calibrate(x)
+		poes := []Cell{{0, 0}, {2, 4}, {5, 1}, {7, 7}, {3, 3}, {6, 2}, {1, 6}, {4, 5}}
+		for round := 0; round < 20; round++ {
+			if round%4 == 0 {
+				data := make([]byte, x.BlockBytes())
+				rng.Read(data)
+				if err := x.WriteBlock(data); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := b.ApplyPulse(cal, p.poe, p.class); err != nil {
-				t.Fatal(err)
+			order := rng.Perm(len(poes))
+			classes := make([]int, len(order))
+			for k, p := range order {
+				classes[k] = rng.Intn(device.NumPulses)
+				if err := x.ApplyPulse(cal, poes[p], classes[k]); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		for k := len(train) - 1; k >= 0; k-- {
-			if err := b.ApplyPulse(cal, train[k].poe, InverseClass(train[k].class)); err != nil {
-				t.Fatal(err)
+			for k := len(order) - 1; k >= 0; k-- {
+				poe := poes[order[k]]
+				pc := &cal.poes[cal.poeIndex(poe)]
+				if n := x.trk.poes[pc.slot].pending(pc, x.packed); n != 0 {
+					t.Fatalf("%dx%d round %d: inverse pulse at %+v finds %d changed complement cells, want 0",
+						cfg.Rows, cfg.Cols, round, poe, n)
+				}
+				if err := x.ApplyPulse(cal, poe, InverseClass(classes[k])); err != nil {
+					t.Fatal(err)
+				}
 			}
+			checkTracker(t, x, cal)
 		}
-		before := len(a.trk.journal)
-		pending := 0
-		for i, l := range a.levels {
-			if l != saved[i] {
-				pending++
-			}
-		}
-		a.Rewind(&snap)
-		if before+pending >= maxJournal {
-			compactions++
-			if len(a.trk.journal) != 0 {
-				t.Fatalf("round %d: journal %d+%d reached maxJournal but was not compacted (len %d)",
-					round, before, pending, len(a.trk.journal))
-			}
-		}
-		if !slices.Equal(a.levels, saved) || !slices.Equal(a.levels, b.levels) {
-			t.Fatalf("round %d: rewound levels differ from the saved state or the inverse train", round)
-		}
-		if !slices.Equal(a.wear, b.wear) {
-			t.Fatalf("round %d: rewound wear differs from the inverse train's", round)
-		}
-		for pi := range a.trk.acc {
-			if a.trk.acc[pi] == nil {
-				continue
-			}
-			pc := &cal.poes[pi]
-			got := a.trk.sync(pi, pc, a.levels)
-			ref := deviationsRef(pc, a.levels)
-			if !slices.Equal(got, ref) {
-				t.Fatalf("round %d PoE %d: accumulator %v, scratch %v", round, pi, got, ref)
-			}
-		}
-	}
-	if compactions == 0 {
-		t.Fatal("no Rewind reached maxJournal; compaction untested")
 	}
 }
 

@@ -1,117 +1,106 @@
 package xbar
 
-// The incremental deviation accumulator. A pulse permutes only the levels of
-// its polyomino cells, and every other PoE's deviation is a linear (integer)
-// function of cell levels, so after a pulse the next PoE's deviations can be
-// updated from the few changed cells instead of re-summed over the whole
-// array. Because the accumulators are exact int64 sums of quantized-weight
-// terms (see Calibration), incremental maintenance agrees bit-for-bit with a
-// from-scratch recompute — the replay path is an optimization, never a
-// different answer.
+import "math/bits"
 
-// maxJournal bounds the change journal; when it fills, accumulators that can
-// still catch up cheaply are replayed to the tip and the journal is
-// truncated.
-const maxJournal = 512
-
-// levelDelta records one cell's level change as dq = 2*(new-old), the exact
-// delta of the integer level coordinate q = 2l-3.
-type levelDelta struct {
-	cell, dq int32
-}
+// The incremental deviation accumulator. Every PoE's deviation is a linear
+// (integer) function of the levels of its complement cells, so a PoE's sums
+// can be brought up to date from the complement cells that changed since
+// they were last computed instead of re-summed over the whole array. Each
+// tracked PoE keeps the packed levels its sums were synced to; a sync XORs
+// them against the crossbar's current packed levels under the PoE's
+// complement mask and adds w·2·(new−old) for each changed cell.
+//
+// The diff is what makes decryption cheap: the inverse pulses run in
+// reverse order, so when a PoE's inverse pulse fires every cell outside its
+// polyomino holds the level it held at that PoE's forward pulse, and the
+// diff is empty. A read-through's decrypt after its encrypt, a Rewind, or a
+// Serial re-encrypt after a decrypt cost nothing, however many cells changed
+// and changed back in between. Because the accumulators are exact int64 sums
+// of quantized-weight terms (see Calibration), the diff agrees bit-for-bit
+// with a from-scratch recompute — it is an optimization, never a different
+// answer.
 
 // devTracker holds, per PoE, the incremental deviation accumulator of one
-// crossbar against one calibration, plus the shared change journal. It is
-// owned by the crossbar and shares its (externally serialized) mutation
-// discipline.
+// crossbar against one calibration. It is owned by the crossbar and shares
+// its (externally serialized) mutation discipline.
 type devTracker struct {
-	cal     *Calibration
-	acc     [][]int64 // per PoE; nil until that PoE is first pulsed
-	pos     []int     // journal position acc is synced to; -1 = stale
-	journal []levelDelta
-	mixbuf  []uint64
-	qbuf    []int64 // gathered level coordinates for the scratch kernel
+	cal    *Calibration
+	poes   []poeState // by poeCal.slot; zero until that PoE is first pulsed
+	mixbuf []uint64
+	qbuf   []int64 // gathered level coordinates for the dense kernel
+}
+
+// poeState is one PoE's accumulator and the packed levels it is exact for.
+type poeState struct {
+	acc   []int64
+	words []uint64
 }
 
 // tracker returns the crossbar's tracker for cal, resetting it if the
 // calibration changed since the last pulse.
 func (x *Crossbar) tracker(cal *Calibration) *devTracker {
 	if x.trk == nil || x.trk.cal != cal {
-		n := len(x.levels)
-		t := &devTracker{cal: cal, acc: make([][]int64, n), pos: make([]int, n)}
-		for i := range t.pos {
-			t.pos[i] = -1
-		}
-		x.trk = t
+		x.trk = &devTracker{cal: cal}
 	}
 	return x.trk
 }
 
-// invalidateTracker marks every accumulator stale after a bulk state change
-// (WriteBlock, SetLevels). Buffers are kept for reuse.
-func (x *Crossbar) invalidateTracker() {
-	if t := x.trk; t != nil {
-		for i := range t.pos {
-			t.pos[i] = -1
-		}
-		t.journal = t.journal[:0]
+// sync brings the accumulator of the PoE calibrated by pc up to date with
+// the crossbar's current levels and returns it. A PoE seen for the first
+// time starts from the all-level-0 state (acc0), so first touch is a diff
+// too. When more than 5/8 of the complement changed — fresh data after a
+// write — the dense kernel is cheaper than the per-cell updates and
+// recomputes the sums; both give the identical int64 values. (5/8 is the
+// measured crossover of the two on the 8x8 and 16x16 devices: ~0.6 of the
+// complement at both sizes, see EXPERIMENTS.md.)
+func (t *devTracker) sync(pc *poeCal, x *Crossbar) []int64 {
+	if pc.slot >= len(t.poes) {
+		grown := make([]poeState, max(pc.slot+1, int(t.cal.nslots.Load())))
+		copy(grown, t.poes)
+		t.poes = grown
 	}
+	st := &t.poes[pc.slot]
+	if st.acc == nil {
+		st.acc = append([]int64(nil), pc.acc0...)
+		st.words = make([]uint64, len(x.packed))
+	}
+	cur, old := x.packed, st.words
+	switch changed := st.pending(pc, cur); {
+	case changed == 0:
+		return st.acc
+	case 8*changed > 5*len(pc.compIdx):
+		t.qbuf = pc.deviationsInto(st.acc, x.levels, t.qbuf)
+	default:
+		s := len(st.acc)
+		for w, m := range pc.compMask {
+			d := cellBits((cur[w] ^ old[w]) & m)
+			for d != 0 {
+				b := bits.TrailingZeros64(d)
+				d &= d - 1
+				dq := 2 * (int64(cur[w]>>b&3) - int64(old[w]>>b&3))
+				j := int(pc.compPos[w<<5|b>>1]) * s
+				stripe := pc.wT[j : j+s]
+				acc := st.acc[:len(stripe)]
+				for k, wk := range stripe {
+					acc[k] += wk * dq
+				}
+			}
+		}
+	}
+	copy(old, cur)
+	return st.acc
 }
 
-// sync brings the accumulator of PoE pi up to date with the crossbar's
-// current levels and returns it. It replays pending journal entries when
-// that is cheaper than a from-scratch recompute (at most one weight-row pass
-// per pending entry vs one per complement cell) and falls back to the scratch
-// kernel otherwise — both produce the identical int64 values.
-func (t *devTracker) sync(pi int, pc *poeCal, levels []int) []int64 {
-	acc := t.acc[pi]
-	if acc == nil {
-		acc = make([]int64, len(pc.shape))
-		t.acc[pi] = acc
+// pending returns how many of pc's complement cells differ between the
+// packed levels cur and the ones st was last synced to.
+func (st *poeState) pending(pc *poeCal, cur []uint64) int {
+	n := 0
+	for w, m := range pc.compMask {
+		n += bits.OnesCount64(cellBits((cur[w] ^ st.words[w]) & m))
 	}
-	jlen := len(t.journal)
-	pos := t.pos[pi]
-	if pos < 0 || jlen-pos > len(pc.compIdx) {
-		t.qbuf = pc.deviationsInto(acc, levels, t.qbuf)
-	} else {
-		replay(acc, pc, t.journal[pos:jlen])
-	}
-	t.pos[pi] = jlen
-	return acc
+	return n
 }
 
-// replay applies journal entries to an accumulator. Entries for cells the
-// PoE is not sensitive to (its own polyomino, or cells with all-zero
-// weights) are skipped via the compPos map.
-func replay(acc []int64, pc *poeCal, entries []levelDelta) {
-	for _, e := range entries {
-		j := pc.compPos[e.cell]
-		if j < 0 {
-			continue
-		}
-		dq := int64(e.dq)
-		for k, row := range pc.wflat {
-			acc[k] += row[j] * dq
-		}
-	}
-}
-
-// compact truncates a full journal. Accumulators close enough to the tip are
-// replayed current (and restart at position 0); the rest are marked stale and
-// will resync from scratch on next use.
-func (t *devTracker) compact() {
-	jlen := len(t.journal)
-	for p := range t.acc {
-		if t.acc[p] == nil || t.pos[p] < 0 {
-			continue
-		}
-		pc := &t.cal.poes[p]
-		if jlen-t.pos[p] <= len(pc.compIdx) {
-			replay(t.acc[p], pc, t.journal[t.pos[p]:jlen])
-			t.pos[p] = 0
-		} else {
-			t.pos[p] = -1
-		}
-	}
-	t.journal = t.journal[:0]
-}
+// cellBits folds every 2-bit cell field of a packed-level word onto its low
+// bit: bit 2c is set iff cell c's field is nonzero.
+func cellBits(d uint64) uint64 { return (d | d>>1) & 0x5555555555555555 }
