@@ -42,12 +42,16 @@ go build -o "$tmpdir/spe-sim" ./cmd/spe-sim
 # efficiency, speedup_vs_w1 / min(workers, nproc), of
 # BenchmarkSPECUEncryptBatch at -cpu $(nproc): 1.0 is perfect scaling and
 # 1/nproc no parallelism at all, so one threshold holds on any core count.
-# 0.6 sits below every sample of 6 (workers 4 and 8, 3 runs: 0.67-0.81) on
-# a shared 2-vCPU host at -benchtime 200x (20x was too noisy to gate), and
-# above the 0.5 a 2-vCPU run scores with no parallel speedup. On a
-# single-vCPU host sched.Workers clamps real runs to one worker and the
-# batch path takes its inline fast path by design, so the assertion is skipped
-# there rather than asserted vacuously; the matrix itself still runs,
+# 0.6 does not sit below every sample on a shared 2-vCPU host at
+# -benchtime 200x (20x was too noisy to gate): 3 of the 16 matrix runs
+# EXPERIMENTS.md records from before the permutation memo read 0.402-0.582
+# at workers 4 or 8, and the gate failed on host noise there. 12
+# standalone runs with the memo read 0.631-1.142. The threshold still sits
+# above the 0.5 a 2-vCPU run scores with no parallel speedup.
+# sched.Workers clamps to the host's CPUs (NumCPU and the cgroup quota),
+# so on a single-vCPU host real runs get one worker and the batch path
+# takes its inline fast path by design; the assertion is skipped there
+# rather than asserted vacuously, and the matrix itself still runs,
 # catching functional regressions.
 ncpu=$(nproc)
 go test ./internal/core -run xxx -bench 'BenchmarkSPECU(ShardedRead|EncryptBatch)' \
@@ -78,11 +82,13 @@ go run ./cmd/benchjson -diff BENCH_specu.json "$tmpdir/batch_matrix.json" \
 	-max-regress 500 -max-allocs-regress 25
 
 # The same gate on the single-op paths: a synchronous Parallel read (the
-# read-through) and an overwrite of ciphertext, at the archive's own
-# -benchtime so warm-up allocations amortize over the same op count.
-go test ./internal/core -run xxx -bench 'BenchmarkSPECU(SequentialRead|EncryptTelemetryOff)' \
-	-benchtime 20x -benchmem \
-	| go run ./cmd/benchjson -require 2 -o "$tmpdir/single_op.json"
+# read-through), an overwrite of ciphertext, and the 8x8 read-through pulse
+# on its own (the ApplyPulse rung, zero allocations), each at the archive's
+# own -benchtime so warm-up allocations amortize over the same op count.
+( go test ./internal/core -run xxx -bench 'BenchmarkSPECU(SequentialRead|EncryptTelemetryOff)' \
+	-benchtime 20x -benchmem ; \
+  go test ./internal/xbar -run xxx -bench 'BenchmarkApplyPulse/readthrough/8x8$' -benchmem ) \
+	| go run ./cmd/benchjson -require 3 -o "$tmpdir/single_op.json"
 go run ./cmd/benchjson -diff BENCH_specu.json "$tmpdir/single_op.json" \
 	-max-regress 500 -max-allocs-regress 25
 

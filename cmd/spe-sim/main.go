@@ -958,7 +958,7 @@ type batchsweepReport struct {
 // Parallel mode keeps every phase in its encrypted steady state (reads
 // read through to the plaintext and rewind to the ciphertext, overwrites
 // reprogram ciphertext), so ops/s is comparable across phases and worker
-// counts. On a GOMAXPROCS=1 host sched.Workers clamps every row to one
+// counts. On a one-CPU host sched.Workers clamps every row to one
 // worker, so every row measures the inline path — run on a multi-core host
 // for real scaling numbers.
 func batchsweep() error {

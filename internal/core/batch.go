@@ -44,9 +44,9 @@ type ReadResult struct {
 // goroutine straight through the sequential path.
 const inlineBatchMax = 8
 
-// Serve lets coalesced batches run on up to workers goroutines (resolved by
-// sched.Workers; <= 0 selects GOMAXPROCS): the batch's caller plus helpers
-// drawn from a budget of workers-1 tokens shared by every batch on this
+// Serve lets coalesced batches run on up to workers goroutines (resolved
+// by sched.Workers; <= 0 selects the host's schedulable parallelism): the
+// batch's caller plus helpers drawn from a budget of workers-1 tokens shared by every batch on this
 // SPECU. depth is unused; it remains so existing callers compile.
 // Cancelling ctx detaches the budget as Close does. Serve fails with
 // ErrServing if a budget is already attached.

@@ -12,17 +12,24 @@ import (
 	"time"
 
 	"snvmm/internal/prng"
+	"snvmm/internal/sched"
 	"snvmm/internal/telemetry/trace"
 )
 
-// withProcs pins GOMAXPROCS for the test's duration. The coalescing
-// scheduler only engages when the worker count resolves above 1, so on a
-// single-core CI host these tests raise the schedulable parallelism
-// (legal above the physical core count) to exercise the parallel path.
+// withProcs pins GOMAXPROCS and the host CPU count sched.Workers clamps
+// to for the test's duration. The coalescing scheduler only engages when
+// the worker count resolves above 1, and these tests assert the budgets of
+// workers 4 and 8, so on a host with fewer CPUs they raise the schedulable
+// parallelism (legal above the physical core count) to exercise the
+// parallel path at the worker counts they name.
 func withProcs(t *testing.T, n int) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	restore := sched.PinHostCPUs(n)
+	t.Cleanup(func() {
+		restore()
+		runtime.GOMAXPROCS(old)
+	})
 }
 
 // batchPayload is the deterministic per-op payload used by the

@@ -165,7 +165,7 @@ func BenchmarkSPECUEncryptBatch(b *testing.B) {
 func BenchmarkHelperSpawn(b *testing.B) {
 	budget := newHelperBudget(2)
 	if budget.workers < 2 {
-		b.Skip("needs GOMAXPROCS >= 2 for a helper token")
+		b.Skip("needs sched.Workers(2) = 2 for a helper token")
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < b.N; i++ {
@@ -194,7 +194,7 @@ func BenchmarkInlineThreshold(b *testing.B) {
 			}
 			defer s.Close()
 			if s.budget.Load().workers != workers {
-				b.Skip("GOMAXPROCS clamps the worker count")
+				b.Skip("sched.Workers clamps the worker count")
 			}
 			ctx := context.Background()
 			b.ResetTimer()

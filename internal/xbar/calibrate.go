@@ -46,8 +46,8 @@ type Calibration struct {
 	cfg Config
 	xb  *Crossbar // reference crossbar used for solves (nominal state)
 
-	poes   []poeCal     // per PoE (linear cell index)
-	nslots atomic.Int32 // tracker slots handed out to built PoEs
+	poes  []poeCal      // per PoE (linear cell index)
+	slots atomic.Uint64 // tracker slots handed out to built PoEs (high half) and their ΣS (low half)
 
 	sk calSketch // shared device sketch (sketch path only), built lazily
 }
@@ -65,6 +65,7 @@ type poeCal struct {
 	done    atomic.Bool
 
 	slot     int // dense index of this PoE's state in a crossbar's tracker
+	accOff   int // offset of its accumulator: ΣS over the lower slots
 	shape    []Cell
 	shapeIdx []int32 // linear index of each shape cell
 	inShape  []bool
@@ -125,9 +126,9 @@ const calSamples = 512
 
 // ensure computes the calibration record for one PoE, exactly once even
 // under concurrent first touch, and hands a built record the next dense
-// tracker slot. done is stored once, by the build: the pulse path calls
-// ensure per pulse from every helper, and a store there would bounce the
-// record's cache line between cores.
+// tracker slot and accumulator offset. done is stored once, by the build:
+// the pulse path calls ensure per pulse from every helper, and a store
+// there would bounce the record's cache line between cores.
 func (c *Calibration) ensure(poe Cell) error {
 	pi := c.poeIndex(poe)
 	if pi < 0 {
@@ -146,11 +147,26 @@ func (c *Calibration) ensure(poe Cell) error {
 	}
 	pc.once.Do(func() {
 		if pc.err = c.build(poe, pc); pc.err == nil {
-			pc.slot = int(c.nslots.Add(1) - 1)
+			pc.slot, pc.accOff = c.handOut(len(pc.shape))
 		}
 		pc.done.Store(true)
 	})
 	return pc.err
+}
+
+// handOut takes the next tracker slot and the next s accumulator entries
+// in one atomic step, so a slot's offset is always ΣS over the slots below
+// it and a tracker sized from slotsOut covers every PoE handed out before.
+func (c *Calibration) handOut(s int) (slot, accOff int) {
+	v := c.slots.Add(1<<32|uint64(s)) - (1<<32 | uint64(s))
+	return int(v >> 32), int(uint32(v))
+}
+
+// slotsOut returns how many tracker slots have been handed out and the ΣS
+// of their accumulators.
+func (c *Calibration) slotsOut() (nslots, accLen int) {
+	v := c.slots.Load()
+	return int(v >> 32), int(uint32(v))
 }
 
 // poeIndex returns the linear index of poe, or -1 when it lies outside the
@@ -459,14 +475,12 @@ func (c *Calibration) Strengths(levels []int, poe Cell) ([]int, error) {
 	return out, nil
 }
 
-// mixersInto derives the per-shape-cell mixing words from an already
-// computed deviation accumulator (scratch or incremental — they are
-// bit-identical).
-func (c *Calibration) mixersInto(dst []uint64, pi int, pc *poeCal, acc []int64) {
-	for k, d := range acc {
-		v := pc.base[k] + float64(d)*devInvScale
-		dst[k] = splitmix64(math.Float64bits(v) ^ uint64(pi)<<32 ^ uint64(k))
-	}
+// mixer derives the mixing word of shape cell k of the PoE with linear
+// index pi from its deviation accumulator entry d (scratch or incremental
+// — they are bit-identical).
+func (pc *poeCal) mixer(pi, k int, d int64) uint64 {
+	v := pc.base[k] + float64(d)*devInvScale
+	return splitmix64(math.Float64bits(v) ^ uint64(pi)<<32 ^ uint64(k))
 }
 
 // Mixers returns, per shape cell, a 64-bit mixing word derived from the
@@ -489,7 +503,9 @@ func (c *Calibration) Mixers(levels []int, poe Cell) ([]uint64, error) {
 	acc := make([]int64, len(pc.shape))
 	pc.deviationsInto(acc, levels, nil)
 	out := make([]uint64, len(acc))
-	c.mixersInto(out, pi, pc, acc)
+	for k, d := range acc {
+		out[k] = pc.mixer(pi, k, d)
+	}
 	return out, nil
 }
 

@@ -127,20 +127,29 @@ func unpackLevels(words []uint64, n int) []int {
 	return out
 }
 
-// livePoEs returns the calibration record of every PoE x's tracker has
-// pulsed; its state is x.trk.poes[pc.slot].
-func livePoEs(x *Crossbar, cal *Calibration) []*poeCal {
+// livePoEs returns the linear index of every PoE x's tracker has synced;
+// its state is trackedState(x, &cal.poes[pi]).
+func livePoEs(x *Crossbar, cal *Calibration) []int {
 	if x.trk == nil || x.trk.cal != cal {
 		return nil
 	}
-	var pcs []*poeCal
+	var pis []int
 	for pi := range cal.poes {
 		pc := &cal.poes[pi]
-		if pc.done.Load() && pc.err == nil && pc.slot < len(x.trk.poes) && x.trk.poes[pc.slot].acc != nil {
-			pcs = append(pcs, pc)
+		if pc.done.Load() && pc.err == nil && pc.accOff+pc.slot < len(x.trk.memo) && x.trk.memo[pc.accOff+pc.slot] != 0 {
+			pis = append(pis, pi)
 		}
 	}
-	return pcs
+	return pis
+}
+
+// trackedState returns the slab entries of a PoE x's tracker has synced:
+// its accumulator, the packed words it is exact for, its memo tag and its
+// memoized permutation indices.
+func trackedState(x *Crossbar, pc *poeCal) (acc []int64, words []uint64, tag uint8, idx []uint8) {
+	t, s, nw := x.trk, len(pc.acc0), len(x.packed)
+	m := t.memo[pc.accOff+pc.slot : pc.accOff+pc.slot+1+s]
+	return t.acc[pc.accOff : pc.accOff+s], t.words[pc.slot*nw : (pc.slot+1)*nw], m[0], m[1:]
 }
 
 // applyPulse applies one pulse and fails t unless pulseErr passes.
@@ -153,15 +162,38 @@ func applyPulse(t testing.TB, x *Crossbar, cal *Calibration, poe Cell, class int
 
 // pulseErr applies one pulse and checks that the accumulator it read was
 // exact for the levels the pulse found, so a sync that skipped a changed
-// cell fails even though the tracker invariant still holds.
+// cell fails even though the tracker invariant still holds, and that the
+// pulse left its width's permutation indices in the PoE's memo (memoErr).
 func pulseErr(x *Crossbar, cal *Calibration, poe Cell, class int) error {
 	pre := x.Levels()
 	if err := x.ApplyPulse(cal, poe, class); err != nil {
 		return err
 	}
-	pc := &cal.poes[cal.poeIndex(poe)]
-	if got, want := x.trk.poes[pc.slot].acc, deviationsRef(pc, pre); !slices.Equal(got, want) {
-		return fmt.Errorf("pulse at %+v read accumulator %v, reference at the levels it found %v", poe, got, want)
+	pi := cal.poeIndex(poe)
+	pc := &cal.poes[pi]
+	acc, _, tag, _ := trackedState(x, pc)
+	if want := deviationsRef(pc, pre); !slices.Equal(acc, want) {
+		return fmt.Errorf("pulse at %+v read accumulator %v, reference at the levels it found %v", poe, acc, want)
+	}
+	if want := memoTouched | uint8(class%device.NumWidths+1); tag != want {
+		return fmt.Errorf("pulse at %+v left memo tag %#x, want %#x", poe, tag, want)
+	}
+	return memoErr(x, pi, pc)
+}
+
+// memoErr checks a synced PoE's memo: when its tag names a width, the
+// memoized indices equal permIndex recomputed from the PoE's accumulator
+// under that width.
+func memoErr(x *Crossbar, pi int, pc *poeCal) error {
+	acc, _, tag, idx := trackedState(x, pc)
+	if tag&^memoTouched == 0 {
+		return nil
+	}
+	width := int(tag&^memoTouched) - 1
+	for k, d := range acc {
+		if want := permIndex(width, pc.mixer(pi, k, d), int(pc.shapeIdx[k])); int(idx[k]) != want {
+			return fmt.Errorf("PoE slot %d width %d: memoized index %d of shape cell %d, recomputed %d", pc.slot, width, idx[k], k, want)
+		}
 	}
 	return nil
 }
@@ -175,16 +207,21 @@ func checkTracker(t testing.TB, x *Crossbar, cal *Calibration) {
 }
 
 // trackerErr checks the tracker invariant without syncing anything: x's
-// packed words equal its levels, and every live accumulator equals the
-// reference sum at the packed levels it was last synced to.
+// packed words equal its levels, every live accumulator equals the
+// reference sum at the packed levels it was last synced to, and every
+// tagged memo matches its accumulator (memoErr).
 func trackerErr(x *Crossbar, cal *Calibration) error {
 	if !slices.Equal(x.packed, packLevels(x.levels)) {
 		return fmt.Errorf("packed words %x do not match levels %v", x.packed, x.levels)
 	}
-	for _, pc := range livePoEs(x, cal) {
-		st := &x.trk.poes[pc.slot]
-		if want := deviationsRef(pc, unpackLevels(st.words, len(x.levels))); !slices.Equal(st.acc, want) {
-			return fmt.Errorf("PoE slot %d: accumulator %v, reference at its synced levels %v", pc.slot, st.acc, want)
+	for _, pi := range livePoEs(x, cal) {
+		pc := &cal.poes[pi]
+		acc, words, _, _ := trackedState(x, pc)
+		if want := deviationsRef(pc, unpackLevels(words, len(x.levels))); !slices.Equal(acc, want) {
+			return fmt.Errorf("PoE slot %d: accumulator %v, reference at its synced levels %v", pc.slot, acc, want)
+		}
+		if err := memoErr(x, pi, pc); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -201,7 +238,8 @@ func syncAll(t testing.TB, x *Crossbar, cal *Calibration) {
 // syncErr syncs every live PoE of x's tracker and checks each against the
 // reference sum at x's current levels.
 func syncErr(x *Crossbar, cal *Calibration) error {
-	for _, pc := range livePoEs(x, cal) {
+	for _, pi := range livePoEs(x, cal) {
+		pc := &cal.poes[pi]
 		if got, want := x.trk.sync(pc, x), deviationsRef(pc, x.levels); !slices.Equal(got, want) {
 			return fmt.Errorf("PoE slot %d: synced accumulator %v, reference %v", pc.slot, got, want)
 		}

@@ -26,9 +26,9 @@ type MonteCarloResult struct {
 // clamped to ROff = 1.5*ROn so it remains a physical (if extreme) device
 // rather than an inverted one; the sample still counts.
 //
-// Samples fan out over min(workers, GOMAXPROCS) goroutines (workers <= 0
-// selects GOMAXPROCS). Each sample draws its perturbations from an rng
-// seeded by mixing the caller's seed with the sample index, so the result
+// Samples fan out over sched.WorkersFor(workers, samples) goroutines
+// (workers <= 0 selects the host's schedulable parallelism). Each sample
+// draws its perturbations from an rng seeded by mixing the caller's seed with the sample index, so the result
 // is a pure function of (cfg, poe, samples, vars, seed) — independent of
 // worker count and scheduling. Each worker assembles the sneak network once
 // and re-solves it through a reusable workspace, refilling resistances in

@@ -74,7 +74,8 @@ func permIndex(width int, mixer uint64, cellIdx int) int {
 // before. The sneak-voltage deviations feeding the permutation choice are
 // maintained incrementally from the complement cells that changed since
 // this PoE's last pulse (see devTracker.sync) — bit-identical to a
-// recompute.
+// recompute — and while they stand still a pulse of the same width reuses
+// the permutation indices of the PoE's last pulse (devTracker.permsFor).
 func (x *Crossbar) ApplyPulse(cal *Calibration, poe Cell, class int) error {
 	if class < 0 || class >= device.NumPulses {
 		return fmt.Errorf("xbar: pulse class %d out of range", class)
@@ -90,11 +91,6 @@ func (x *Crossbar) ApplyPulse(cal *Calibration, poe Cell, class int) error {
 	pc := &cal.poes[pidx]
 	t := x.tracker(cal)
 	acc := t.sync(pc, x)
-	if cap(t.mixbuf) < len(pc.shape) {
-		t.mixbuf = make([]uint64, len(pc.shape))
-	}
-	mixers := t.mixbuf[:len(pc.shape)]
-	cal.mixersInto(mixers, pidx, pc, acc)
 	width := class % device.NumWidths
 	negative := class >= device.NumWidths
 	if x.trace != nil {
@@ -103,9 +99,10 @@ func (x *Crossbar) ApplyPulse(cal *Calibration, poe Cell, class int) error {
 		// drift. acc still holds the pre-mutation deviations here.
 		x.emitTrace(pc, acc, width, negative)
 	}
+	pis := t.permsFor(pc, pidx, width, acc)
 	for k, ci := range pc.shapeIdx {
 		i := int(ci)
-		pi := permIndex(width, mixers[k], i)
+		pi := pis[k]
 		old := x.levels[i]
 		nl := perms[pi][old]
 		if negative {

@@ -119,7 +119,8 @@ func TestInverseTrainFindsNoChanges(t *testing.T) {
 			for k := len(order) - 1; k >= 0; k-- {
 				poe := poes[order[k]]
 				pc := &cal.poes[cal.poeIndex(poe)]
-				if n := x.trk.poes[pc.slot].pending(pc, x.packed); n != 0 {
+				_, words, _, _ := trackedState(x, pc)
+				if n := pending(pc, x.packed, words); n != 0 {
 					t.Fatalf("%dx%d round %d: inverse pulse at %+v finds %d changed complement cells, want 0",
 						cfg.Rows, cfg.Cols, round, poe, n)
 				}

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"snvmm/internal/sched"
 )
 
 // warmCfg is a small geometry so the eager sweeps stay fast under -race.
@@ -158,11 +160,13 @@ func TestMonteCarloErrorZeroResult(t *testing.T) {
 // the race detector: a multi-worker WarmAll over a CharHier device (each
 // worker claiming chunks of PoEs, all sharing the device sketch and the
 // pooled per-PoE scratch) must produce exactly the records a lazy
-// single-threaded build would. GOMAXPROCS is raised so the worker clamp
-// cannot collapse the fan-out on a single-core host.
+// single-threaded build would. GOMAXPROCS and the host CPU count are
+// pinned to 4 so the worker clamp cannot collapse the fan-out on a smaller
+// host.
 func TestWarmAllParallelHier(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
+	defer sched.PinHostCPUs(4)()
 	cfg := DefaultConfig()
 	cfg.Characterization = CharHier
 	warm := newCal(t, cfg)
