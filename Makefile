@@ -36,19 +36,20 @@ test-attacks:
 		| $(GO) run ./cmd/benchjson -require 4 -o BENCH_attacks.json
 	@cat BENCH_attacks.json
 
-# SPECU hot-path benchmarks (deviation-sum sync, the ApplyPulse rung, block
-# crypt + sharded pipeline), archived as JSON so runs can be diffed across commits
-# (EXPERIMENTS.md records the headline numbers). The second core run repeats the coalesced batch benches
+# SPECU hot-path benchmarks (the DeriveSchedule rung, deviation-sum sync,
+# the ApplyPulse rung, block crypt + sharded pipeline), archived as JSON so
+# runs can be diffed across commits (EXPERIMENTS.md records the headline numbers). The second core run repeats the coalesced batch benches
 # at -cpu 4 so the archive carries the multi-core matrix (benchjson derives
 # speedup_vs_w1 per -cpu level); on a host with fewer than 4 vCPUs those
 # rows resolve to the host's CPUs (sched.Workers clamps to the smallest of
 # GOMAXPROCS, NumCPU and the cgroup cpu.max quota), so ci.sh gates parallel
 # efficiency on a -cpu 1,$(nproc) matrix instead.
 bench:
-	( $(GO) test ./internal/xbar -run xxx -bench 'BenchmarkDeviationSync|BenchmarkApplyPulse' -benchmem ; \
+	( $(GO) test ./internal/prng -run xxx -bench 'BenchmarkDeriveSchedule' -benchmem ; \
+	  $(GO) test ./internal/xbar -run xxx -bench 'BenchmarkDeviationSync|BenchmarkApplyPulse' -benchmem ; \
 	  $(GO) test ./internal/core -run xxx -bench 'BenchmarkBlock|BenchmarkNewBlock|BenchmarkSPECU' -benchtime 20x -benchmem ; \
 	  $(GO) test ./internal/core -run xxx -bench 'BenchmarkSPECU(ShardedRead|EncryptBatch)' -benchtime 20x -benchmem -cpu 4 ) \
-		| $(GO) run ./cmd/benchjson -require 31 -o BENCH_specu.json
+		| $(GO) run ./cmd/benchjson -require 33 -o BENCH_specu.json
 	@cat BENCH_specu.json
 	$(GO) test ./internal/poe -run xxx -bench 'BenchmarkPlacement' -benchtime 1x -benchmem \
 		| $(GO) run ./cmd/benchjson -require 2 -o BENCH_ilp.json

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"snvmm/internal/prng"
 	"snvmm/internal/telemetry/trace"
 )
 
@@ -95,7 +94,7 @@ type batchOps struct {
 	// locked runs op i inside a coalesced shard run: the run holds keyMu
 	// (shared) and shard si's lock (exclusive) for its whole duration.
 	// tc is the op's causal trace context (zero when tracing is off).
-	locked func(i, si int, sh *shard, key prng.Key, tc trace.Context)
+	locked func(i, si int, sh *shard, key loadedKey, tc trace.Context)
 	// fail records err for an op the scheduler never ran (cancellation,
 	// missing key discovered at run start).
 	fail func(i int, err error)
@@ -290,7 +289,7 @@ func (s *SPECU) WriteBatch(ctx context.Context, ops []WriteOp) []error {
 			errs[i] = s.writeCtx(ops[i].Addr, ops[i].Data, tc)
 			t.observeWrite(shardIndex(ops[i].Addr), start)
 		},
-		locked: func(i, si int, sh *shard, key prng.Key, tc trace.Context) {
+		locked: func(i, si int, sh *shard, key loadedKey, tc trace.Context) {
 			t := s.tel.Load()
 			start := t.now()
 			errs[i] = s.writeLocked(si, sh, key, ops[i].Addr, ops[i].Data, tc)
@@ -318,7 +317,7 @@ func (s *SPECU) ReadBatch(ctx context.Context, addrs []uint64) []ReadResult {
 			t.observeRead(shardIndex(addrs[i]), start)
 			res[i] = ReadResult{Addr: addrs[i], Data: data, Err: err}
 		},
-		locked: func(i, si int, sh *shard, key prng.Key, tc trace.Context) {
+		locked: func(i, si int, sh *shard, key loadedKey, tc trace.Context) {
 			t := s.tel.Load()
 			start := t.now()
 			data, err := s.readLocked(si, sh, key, addrs[i], tc)
@@ -360,7 +359,7 @@ func (s *SPECU) cryptBatch(ctx context.Context, addrs []uint64, decrypt bool) []
 		inline: func(i int, tc trace.Context) {
 			errs[i] = s.cryptAtCtx(addrs[i], decrypt, tc)
 		},
-		locked: func(i, si int, sh *shard, key prng.Key, tc trace.Context) {
+		locked: func(i, si int, sh *shard, key loadedKey, tc trace.Context) {
 			errs[i] = s.cryptLocked(si, sh, key, addrs[i], decrypt, tc)
 		},
 		fail:   func(i int, err error) { errs[i] = err },
@@ -393,7 +392,7 @@ func (s *SPECU) cryptAtCtx(addr uint64, decrypt bool, tc trace.Context) error {
 }
 
 // cryptLocked is the cryptAt body. Same locking contract as writeLocked.
-func (s *SPECU) cryptLocked(si int, sh *shard, key prng.Key, addr uint64, decrypt bool, tc trace.Context) error {
+func (s *SPECU) cryptLocked(si int, sh *shard, key loadedKey, addr uint64, decrypt bool, tc trace.Context) error {
 	b, ok := sh.blocks[addr]
 	if !ok {
 		return errNoBlockAt(addr)

@@ -266,7 +266,7 @@ func TestBatchDispatchPolicy(t *testing.T) {
 			n:      n,
 			addr:   func(i int) uint64 { return uint64(i) * BlockSize },
 			inline: func(i int, tc trace.Context) { inlineCalls.Add(1) },
-			locked: func(i, si int, sh *shard, key prng.Key, tc trace.Context) {
+			locked: func(i, si int, sh *shard, key loadedKey, tc trace.Context) {
 				lockedCalls.Add(1)
 			},
 			fail: func(i int, err error) { t.Errorf("op %d failed: %v", i, err) },
@@ -363,7 +363,7 @@ func TestCoalescedRunsEachOpOnce(t *testing.T) {
 				n:      n,
 				addr:   func(i int) uint64 { return addrs[i] },
 				inline: func(i int, tc trace.Context) { t.Errorf("op %d ran inline", i) },
-				locked: func(i, si int, sh *shard, key prng.Key, tc trace.Context) {
+				locked: func(i, si int, sh *shard, key loadedKey, tc trace.Context) {
 					runs[i].Add(1)
 					if want := shardIndex(addrs[i]); si != want {
 						t.Errorf("op %d ran in shard %d, want %d", i, si, want)
@@ -411,7 +411,7 @@ func probeBatch(t *testing.T, s *SPECU, n int, onLocked func()) []atomic.Int32 {
 		n:      n,
 		addr:   func(i int) uint64 { return uint64(i) * BlockSize },
 		inline: func(i int, tc trace.Context) { t.Errorf("op %d ran inline", i) },
-		locked: func(i, si int, sh *shard, key prng.Key, tc trace.Context) {
+		locked: func(i, si int, sh *shard, key loadedKey, tc trace.Context) {
 			if onLocked != nil {
 				onLocked()
 			}

@@ -130,6 +130,9 @@ type Block struct {
 	// schedules can be flat fields instead of per-call allocations; with
 	// them a warm block encrypts and decrypts without allocating.
 	scheds []prng.Schedule
+	// schedEpoch is the SPECU key epoch scheds were derived under, or 0
+	// when an explicit key derived them; see loadScheds.
+	schedEpoch uint64
 }
 
 // NewBlock fabricates the crossbars of one block. seed individualizes the
@@ -241,13 +244,32 @@ func (b *Block) Decrypt(key prng.Key, tweak uint64) error {
 	return b.crypt(key, tweak, true, trace.Context{})
 }
 
-// cryptXbar applies the keyed schedule to crossbar i: the forward pulse
+// loadScheds makes b.scheds the schedules of key for this block's
+// crossbars and reports whether it kept the ones already there. epoch is
+// the SPECU key epoch key was loaded in, or 0 for an explicit key. Within
+// one epoch everything subKey mixes — the key, the tweak (a SPECU block's
+// address) and the crossbar index — is fixed, so schedules derived under
+// the same nonzero epoch for the engine's current PoE count are reused;
+// anything else derives afresh and retags, and an explicit key tags 0 so
+// its schedules are never reused.
+func (b *Block) loadScheds(key prng.Key, tweak, epoch uint64) bool {
+	n := len(b.eng.Placement)
+	if epoch != 0 && b.schedEpoch == epoch && len(b.scheds[0].Order) == n {
+		return true
+	}
+	for i := range b.scheds {
+		prng.DeriveScheduleInto(&b.scheds[i], subKey(key, tweak, i), n, device.NumPulses)
+	}
+	b.schedEpoch = epoch
+	return false
+}
+
+// cryptXbar applies crossbar i's loaded schedule: the forward pulse
 // sequence for encryption, the hysteresis-matched inverse pulses in reverse
 // order for decryption. Crossbars of a block are independent (disjoint
 // cells, disjoint calibrations), so their order does not affect the result.
-func (b *Block) cryptXbar(i int, key prng.Key, tweak uint64, decrypt bool) error {
+func (b *Block) cryptXbar(i int, decrypt bool) error {
 	sched := &b.scheds[i]
-	prng.DeriveScheduleInto(sched, subKey(key, tweak, i), len(b.eng.Placement), device.NumPulses)
 	xb := b.xbs[i]
 	if decrypt {
 		for step := len(sched.Order) - 1; step >= 0; step-- {
@@ -267,13 +289,21 @@ func (b *Block) cryptXbar(i int, key prng.Key, tweak uint64, decrypt bool) error
 	return nil
 }
 
-// crypt drives the block's crossbars through cryptXbar one after another.
-// Section 6.2.1 has the crossbars of a block pulse in parallel in hardware;
-// the model charges that as PoECount() cycles (EncryptLatencyCycles), and
-// the simulator's parallelism is the coalesced shard run above it, so a
-// block is one serial unit of work here. The caller must hold the block's
-// shard lock when the block is shared.
+// crypt encrypts or decrypts the block under an explicit key, deriving its
+// schedules afresh.
 func (b *Block) crypt(key prng.Key, tweak uint64, decrypt bool, tc trace.Context) error {
+	b.loadScheds(key, tweak, 0)
+	return b.cryptLoaded(decrypt, tc)
+}
+
+// cryptLoaded drives the block's crossbars through cryptXbar one after
+// another with the schedules loadScheds left. Section 6.2.1 has the
+// crossbars of a block pulse in parallel in hardware; the model charges
+// that as PoECount() cycles (EncryptLatencyCycles), and the simulator's
+// parallelism is the coalesced shard run above it, so a block is one
+// serial unit of work here. The caller must hold the block's shard lock
+// when the block is shared.
+func (b *Block) cryptLoaded(decrypt bool, tc trace.Context) error {
 	if decrypt && !b.encrypted {
 		return fmt.Errorf("core: block not encrypted")
 	}
@@ -282,7 +312,7 @@ func (b *Block) crypt(key prng.Key, tweak uint64, decrypt bool, tc trace.Context
 	}
 	for i := range b.xbs {
 		xsp := tc.Start(traceMetaPulseTrain)
-		err := b.cryptXbar(i, key, tweak, decrypt)
+		err := b.cryptXbar(i, decrypt)
 		xsp.End(int64(len(b.eng.Placement)), int64(i))
 		if err != nil {
 			return err
@@ -292,16 +322,23 @@ func (b *Block) crypt(key prng.Key, tweak uint64, decrypt bool, tc trace.Context
 	return nil
 }
 
-// readThrough is the SPE-parallel read of an encrypted block. For each
-// crossbar it saves the cell state into snap, applies the inverse pulses,
-// senses the plaintext and rewinds the crossbar to the saved ciphertext.
-// The rewind is the re-encryption the paper runs after every parallel
-// read: it leaves the cells, the wear and the tracker state the forward
-// pulse train would, without deriving that train a second time (see
+// readThrough is the SPE-parallel read of an encrypted block under an
+// explicit key, deriving its schedules afresh.
+func (b *Block) readThrough(key prng.Key, tweak uint64, snap *xbar.Snapshot, tc trace.Context) ([]byte, error) {
+	b.loadScheds(key, tweak, 0)
+	return b.readThroughLoaded(snap, tc)
+}
+
+// readThroughLoaded is the read-through with the schedules loadScheds
+// left. For each crossbar it saves the cell state into snap, applies the
+// inverse pulses, senses the plaintext and rewinds the crossbar to the
+// saved ciphertext. The rewind is the re-encryption the paper runs after
+// every parallel read: it leaves the cells, the wear and the tracker state
+// the forward pulse train would, without running that train (see
 // xbar.Crossbar.Rewind). A pulse error rewinds the crossbar it hit before
 // returning, so the block holds its ciphertext whatever happens, and
 // plaintext exists only inside the call, under the caller's shard lock.
-func (b *Block) readThrough(key prng.Key, tweak uint64, snap *xbar.Snapshot, tc trace.Context) ([]byte, error) {
+func (b *Block) readThroughLoaded(snap *xbar.Snapshot, tc trace.Context) ([]byte, error) {
 	if !b.encrypted {
 		return nil, fmt.Errorf("core: block not encrypted")
 	}
@@ -309,7 +346,7 @@ func (b *Block) readThrough(key prng.Key, tweak uint64, snap *xbar.Snapshot, tc 
 	for i, xb := range b.xbs {
 		xb.Save(snap)
 		xsp := tc.Start(traceMetaPulseTrain)
-		err := b.cryptXbar(i, key, tweak, true)
+		err := b.cryptXbar(i, true)
 		xsp.End(int64(len(b.eng.Placement)), int64(i))
 		if err == nil {
 			out = xb.AppendBlock(out)

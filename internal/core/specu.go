@@ -66,6 +66,11 @@ type SPECU struct {
 	keyMu  sync.RWMutex
 	key    prng.Key
 	hasKey bool
+	// epoch counts the keys PowerOn has installed. A block's schedules
+	// tagged with the current epoch were derived from the loaded key and
+	// are reused; PowerOff leaves the count, so the next PowerOn makes
+	// every earlier tag stale without touching a block.
+	epoch uint64
 
 	shards [NumShards]shard
 
@@ -144,9 +149,10 @@ func (s *SPECU) shardOf(addr uint64) *shard {
 }
 
 // PowerOn installs the key released by the TPM into the SPECU's volatile
-// key register. Re-installing the same key is a no-op; installing a
-// different key over a live one fails with ErrKeyLoaded (it would strand
-// every resident ciphertext block).
+// key register and starts a new key epoch. Re-installing the same key is a
+// no-op that keeps the epoch; installing a different key over a live one
+// fails with ErrKeyLoaded (it would strand every resident ciphertext
+// block).
 func (s *SPECU) PowerOn(key prng.Key) error {
 	sp := s.tel.Load().span(metaPowerOn)
 	s.keyMu.Lock()
@@ -161,6 +167,7 @@ func (s *SPECU) PowerOn(key prng.Key) error {
 	}
 	s.key = key
 	s.hasKey = true
+	s.epoch++
 	sp.End(1, 0)
 	return nil
 }
@@ -188,7 +195,7 @@ func (s *SPECU) PowerOff() error {
 		sp.End(0, 0)
 		return nil
 	}
-	flushed, err := s.encryptAll(s.key)
+	flushed, err := s.encryptAll(loadedKey{s.key, s.epoch})
 	if err != nil {
 		sp.End(int64(flushed), 1)
 		return err
@@ -206,13 +213,21 @@ func (s *SPECU) HasKey() bool {
 	return s.hasKey
 }
 
-// snapshotKey returns the live key or ErrNoKey. Callers must hold keyMu
-// shared for the duration of the operation that uses the key.
-func (s *SPECU) snapshotKey() (prng.Key, error) {
+// loadedKey is the key register as one operation sees it: the key and the
+// epoch PowerOn installed it in (never 0).
+type loadedKey struct {
+	key   prng.Key
+	epoch uint64
+}
+
+// snapshotKey returns the live key with its epoch, or ErrNoKey. Callers
+// must hold keyMu shared for the duration of the operation that uses the
+// key.
+func (s *SPECU) snapshotKey() (loadedKey, error) {
 	if !s.hasKey {
-		return prng.Key{}, ErrNoKey
+		return loadedKey{}, ErrNoKey
 	}
-	return s.key, nil
+	return loadedKey{s.key, s.epoch}, nil
 }
 
 // blockLocked fetches or fabricates the block at addr. The shard lock must
@@ -267,7 +282,7 @@ func (s *SPECU) writeCtx(addr uint64, data []byte, tc trace.Context) error {
 // shard lock (exclusive); coalesced batch runs call it directly so a run
 // of same-shard ops pays the lock acquisitions once, not once per op.
 // tc is the op's causal trace context (the zero Context when untraced).
-func (s *SPECU) writeLocked(si int, sh *shard, key prng.Key, addr uint64, data []byte, tc trace.Context) error {
+func (s *SPECU) writeLocked(si int, sh *shard, key loadedKey, addr uint64, data []byte, tc trace.Context) error {
 	b, err := s.blockLocked(sh, addr)
 	if err != nil {
 		return err
@@ -316,7 +331,7 @@ func (s *SPECU) readCtx(addr uint64, tc trace.Context) ([]byte, error) {
 }
 
 // readLocked is the read body. Same locking contract as writeLocked.
-func (s *SPECU) readLocked(si int, sh *shard, key prng.Key, addr uint64, tc trace.Context) ([]byte, error) {
+func (s *SPECU) readLocked(si int, sh *shard, key loadedKey, addr uint64, tc trace.Context) ([]byte, error) {
 	b, ok := sh.blocks[addr]
 	if !ok {
 		return nil, errNoBlockAt(addr)
@@ -343,7 +358,7 @@ func (s *SPECU) readLocked(si int, sh *shard, key prng.Key, addr uint64, tc trac
 
 // encryptAll encrypts every currently-plaintext block, returning how many
 // it encrypted. keyMu must be held (shared or exclusive) by the caller.
-func (s *SPECU) encryptAll(key prng.Key) (int, error) {
+func (s *SPECU) encryptAll(key loadedKey) (int, error) {
 	flushed := 0
 	for i := range s.shards {
 		sh := &s.shards[i]

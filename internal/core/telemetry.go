@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"snvmm/internal/prng"
 	"snvmm/internal/telemetry"
 	"snvmm/internal/telemetry/slo"
 	"snvmm/internal/telemetry/trace"
@@ -53,6 +52,11 @@ type specuTel struct {
 	reads  *telemetry.Counter
 	writes *telemetry.Counter
 	steals *telemetry.Counter
+
+	// Block crypts that derived their pulse schedules against those that
+	// reused the ones derived earlier in the same key epoch.
+	schedDerived *telemetry.Counter
+	schedReused  *telemetry.Counter
 
 	plaintext *telemetry.Gauge // blocks currently resident as plaintext
 	blocks    *telemetry.Gauge // blocks ever fabricated and resident
@@ -129,13 +133,15 @@ func (s *SPECU) EnableTelemetry(reg *telemetry.Registry) {
 		return
 	}
 	t := &specuTel{
-		reg:       reg,
-		reads:     reg.Counter("specu.reads"),
-		writes:    reg.Counter("specu.writes"),
-		steals:    reg.Counter("specu.steals"),
-		plaintext: reg.Gauge("specu.plaintext_blocks"),
-		blocks:    reg.Gauge("specu.blocks"),
-		scope:     reg.Recorder().Scope("specu"),
+		reg:          reg,
+		reads:        reg.Counter("specu.reads"),
+		writes:       reg.Counter("specu.writes"),
+		steals:       reg.Counter("specu.steals"),
+		schedDerived: reg.Counter("specu.sched_derived"),
+		schedReused:  reg.Counter("specu.sched_reused"),
+		plaintext:    reg.Gauge("specu.plaintext_blocks"),
+		blocks:       reg.Gauge("specu.blocks"),
+		scope:        reg.Recorder().Scope("specu"),
 	}
 	for i := 0; i < NumShards; i++ {
 		t.read[i] = reg.Histogram(fmt.Sprintf("specu.shard%02d.read", i))
@@ -183,6 +189,19 @@ func (t *specuTel) addPlaintext(delta int64) {
 	}
 }
 
+// countScheds counts one block crypt as having reused or derived its
+// schedules; a no-op on a nil receiver (disabled telemetry).
+func (t *specuTel) countScheds(reused bool) {
+	if t == nil {
+		return
+	}
+	if reused {
+		t.schedReused.Inc()
+	} else {
+		t.schedDerived.Inc()
+	}
+}
+
 // observeCrypt records one block crypt against shard si in the encrypt or
 // decrypt distribution; a no-op on a nil receiver (disabled telemetry).
 func (t *specuTel) observeCrypt(si int, decrypt bool, start int64) {
@@ -199,12 +218,13 @@ func (t *specuTel) observeCrypt(si int, decrypt bool, start int64) {
 	}
 }
 
-// blockCrypt runs b.crypt with per-shard encrypt/decrypt latency recording
-// and plaintext-gauge maintenance. The caller holds the block's shard lock
-// (same contract as crypt itself). tc is the op's causal trace context;
-// the block crypt becomes a child span whose children are the per-crossbar
-// pulse trains.
-func (s *SPECU) blockCrypt(si int, b *Block, key prng.Key, addr uint64, decrypt bool, tc trace.Context) error {
+// blockCrypt crypts b under the loaded key — reusing the block's schedules
+// when they carry the key's epoch — with per-shard encrypt/decrypt latency
+// recording and plaintext-gauge maintenance. The caller holds the block's
+// shard lock (same contract as cryptLoaded). tc is the op's causal trace
+// context; the block crypt becomes a child span whose children are the
+// per-crossbar pulse trains.
+func (s *SPECU) blockCrypt(si int, b *Block, key loadedKey, addr uint64, decrypt bool, tc trace.Context) error {
 	meta := traceMetaEncrypt
 	if decrypt {
 		meta = traceMetaDecrypt
@@ -212,7 +232,8 @@ func (s *SPECU) blockCrypt(si int, b *Block, key prng.Key, addr uint64, decrypt 
 	csp := tc.Start(meta)
 	t := s.tel.Load()
 	start := t.now()
-	err := b.crypt(key, addr, decrypt, csp.Context())
+	t.countScheds(b.loadScheds(key.key, addr, key.epoch))
+	err := b.cryptLoaded(decrypt, csp.Context())
 	csp.End(int64(len(b.xbs)), 0)
 	t.observeCrypt(si, decrypt, start)
 	if err == nil {
@@ -225,16 +246,18 @@ func (s *SPECU) blockCrypt(si int, b *Block, key prng.Key, addr uint64, decrypt 
 	return err
 }
 
-// blockReadThrough runs b.readThrough into the shard's snapshot, recorded
-// as a decrypt: a decrypt span and decrypt-latency sample, since the
-// decrypt is the one keyed pulse train it runs. The block stays
+// blockReadThrough runs b's read-through under the loaded key (schedules
+// reused as in blockCrypt) into the shard's snapshot, recorded as a
+// decrypt: a decrypt span and decrypt-latency sample, since the decrypt is
+// the one keyed pulse train it runs. The block stays
 // ciphertext, so the plaintext gauge does not move. Same locking contract
 // as blockCrypt.
-func (s *SPECU) blockReadThrough(si int, sh *shard, b *Block, key prng.Key, addr uint64, tc trace.Context) ([]byte, error) {
+func (s *SPECU) blockReadThrough(si int, sh *shard, b *Block, key loadedKey, addr uint64, tc trace.Context) ([]byte, error) {
 	csp := tc.Start(traceMetaDecrypt)
 	t := s.tel.Load()
 	start := t.now()
-	data, err := b.readThrough(key, addr, &sh.snap, csp.Context())
+	t.countScheds(b.loadScheds(key.key, addr, key.epoch))
+	data, err := b.readThroughLoaded(&sh.snap, csp.Context())
 	csp.End(int64(len(b.xbs)), 0)
 	t.observeCrypt(si, true, start)
 	return data, err

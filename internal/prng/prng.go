@@ -168,13 +168,42 @@ func (g *Gen) Uint64() uint64 {
 	return g.step()<<32 ^ g.step()
 }
 
-// Intn returns a uniform integer in [0, n) by rejection sampling.
+// maxMod[n] is ^uint64(0) % n, precomputed for the small bounds schedule
+// derivation draws: the PoE indices of the paper's 16-PoE 8x8 set and the
+// 37-PoE 16x16 lattice, and the 32 pulse classes. Larger bounds divide.
+var maxMod = func() (t [65]uint64) {
+	for n := 1; n < len(t); n++ {
+		t[n] = ^uint64(0) % uint64(n)
+	}
+	return t
+}()
+
+// Intn returns a uniform integer in [0, n) by rejection sampling. A
+// power-of-two bound masks instead of dividing (^uint64(0) % n is n-1
+// there, so the limit is 2^64-n); other bounds up to 64 read the limit's
+// remainder from maxMod. Every path accepts and returns exactly the values
+// the plain two-division form does.
 func (g *Gen) Intn(n int) int {
 	if n <= 0 {
 		panic("prng: Intn needs n > 0")
 	}
 	bound := uint64(n)
-	limit := ^uint64(0) - ^uint64(0)%bound
+	if bound&(bound-1) == 0 {
+		limit := -bound
+		for {
+			v := g.Uint64()
+			if v < limit {
+				return int(v & (bound - 1))
+			}
+		}
+	}
+	var rem uint64
+	if bound < uint64(len(maxMod)) {
+		rem = maxMod[bound]
+	} else {
+		rem = ^uint64(0) % bound
+	}
+	limit := ^uint64(0) - rem
 	for {
 		v := g.Uint64()
 		if v < limit {

@@ -2,6 +2,7 @@ package prng
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/big"
 	"math/bits"
@@ -396,5 +397,45 @@ func TestDeriveScheduleIntoAllocFree(t *testing.T) {
 	DeriveScheduleInto(&s, k, 16, 32)
 	if allocs := testing.AllocsPerRun(100, func() { DeriveScheduleInto(&s, k, 16, 32) }); allocs != 0 {
 		t.Errorf("DeriveScheduleInto on a warm schedule allocates %v/op, want 0", allocs)
+	}
+}
+
+// TestIntnMatchesReference checks the masked and table-driven Intn paths
+// against the two-division rejection sampler for every bound up to 130
+// (powers of two, table bounds and the division fallback past 64) on
+// several streams.
+func TestIntnMatchesReference(t *testing.T) {
+	for seed := uint64(0); seed < 8; seed++ {
+		g, ref := NewGen(seed), newRefGen(seed)
+		for n := 1; n <= 130; n++ {
+			for i := 0; i < 40; i++ {
+				if got, want := g.Intn(n), ref.intn(n); got != want {
+					t.Fatalf("seed %d: Intn(%d) draw %d = %d, reference %d", seed, n, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDeriveSchedule times the key-schedule rung: one op derives one
+// crossbar's PoE order and pulse classes into a warm Schedule, cycling
+// over 256 dense keys. 16 PoEs is the paper's 8x8 covering set, 37 the
+// 16x16 lattice; 32 pulse classes as device.NumPulses.
+func BenchmarkDeriveSchedule(b *testing.B) {
+	rng := rand.New(rand.NewSource(21))
+	keys := make([]Key, 256)
+	for i := range keys {
+		keys[i] = NewKey(rng.Uint64(), rng.Uint64())
+	}
+	for _, n := range []int{16, 37} {
+		b.Run(fmt.Sprintf("poes=%d", n), func(b *testing.B) {
+			var s Schedule
+			DeriveScheduleInto(&s, keys[0], n, 32)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				DeriveScheduleInto(&s, keys[i%len(keys)], n, 32)
+			}
+		})
 	}
 }
