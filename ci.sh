@@ -82,16 +82,17 @@ go run ./cmd/benchjson -diff BENCH_specu.json "$tmpdir/batch_matrix.json" \
 	-max-regress 500 -max-allocs-regress 25
 
 # The same gate on the single-op paths: a synchronous Parallel read (the
-# read-through), an overwrite of ciphertext, the 8x8 read-through pulse on
-# its own (the ApplyPulse rung, zero allocations) and the key schedule at
+# read-through), an overwrite of ciphertext, the 8x8 read-through and
+# overwrite pulses on their own (the ApplyPulse rung, zero allocations on
+# both the memoized path and the dense recompute) and the key schedule at
 # 16 and 37 PoEs (the DeriveSchedule rung, zero allocations), each at the
 # archive's own -benchtime so warm-up allocations amortize over the same
 # op count.
 ( go test ./internal/core -run xxx -bench 'BenchmarkSPECU(SequentialRead|EncryptTelemetryOff)' \
 	-benchtime 20x -benchmem ; \
-  go test ./internal/xbar -run xxx -bench 'BenchmarkApplyPulse/readthrough/8x8$' -benchmem ; \
+  go test ./internal/xbar -run xxx -bench 'BenchmarkApplyPulse/(readthrough|overwrite)/8x8$' -benchmem ; \
   go test ./internal/prng -run xxx -bench 'BenchmarkDeriveSchedule' -benchmem ) \
-	| go run ./cmd/benchjson -require 5 -o "$tmpdir/single_op.json"
+	| go run ./cmd/benchjson -require 6 -o "$tmpdir/single_op.json"
 go run ./cmd/benchjson -diff BENCH_specu.json "$tmpdir/single_op.json" \
 	-max-regress 500 -max-allocs-regress 25
 

@@ -73,17 +73,14 @@ type poeCal struct {
 
 	// Quantized sensitivity kernel: compIdx lists the complement cells
 	// (ascending) that any shape cell is sensitive to; compPos inverts it
-	// (cell index -> position in compIdx, or -1); wflat[k] is the flat
-	// int64 weight row of shape cell k, aligned with compIdx.
-	compIdx []int32
-	compPos []int32
-	wflat   [][]int64
-
-	// The incremental tracker's view of the same kernel: wT holds the
-	// weights complement-major (wT[j*S+k] = wflat[k][j], S shape cells),
-	// so one changed cell updates one contiguous stripe; compMask marks
-	// the compIdx cells in the crossbar's packed-level layout; acc0 is
-	// the deviation sums at the all-level-0 state.
+	// (cell index -> position in compIdx, or -1); wT holds the int64
+	// weights complement-major (wT[j*S+k] is the weight of complement
+	// cell compIdx[j] at shape cell k, S shape cells), so one complement
+	// cell's weights are one contiguous stripe; compMask marks the compIdx
+	// cells in the crossbar's packed-level layout; acc0 is the deviation
+	// sums at the all-level-0 state.
+	compIdx  []int32
+	compPos  []int32
 	wT       []int64
 	compMask []uint64
 	acc0     []int64
@@ -199,15 +196,8 @@ func (c *Calibration) build(poe Cell, pc *poeCal) error {
 	for k, cell := range pc.shape {
 		pc.shapeIdx[k] = int32(cell.Row*c.cfg.Cols + cell.Col)
 	}
-	s := len(pc.wflat)
-	pc.wT = make([]int64, len(pc.compIdx)*s)
-	pc.acc0 = make([]int64, s)
-	for k, row := range pc.wflat {
-		for j, w := range row {
-			pc.wT[j*s+k] = w
-			pc.acc0[k] += w * levelQ(0)
-		}
-	}
+	pc.acc0 = make([]int64, len(pc.shape))
+	pc.dense(pc.acc0, make([]uint64, (c.cfg.Cells()+31)/32))
 	pc.compMask = make([]uint64, (c.cfg.Cells()+31)/32)
 	for _, m := range pc.compIdx {
 		pc.compMask[m>>5] |= 3 << (uint(m&31) * 2)
@@ -315,7 +305,7 @@ func (c *Calibration) buildDense(poe Cell, pc *poeCal) error {
 			wdense[k][m] = wq
 		}
 	}
-	compIdx, compPos, wflat := flattenSensitivities(cells, inShape, wdense)
+	compIdx, compPos, wT := flattenSensitivities(cells, inShape, wdense)
 	// Place band edges so the three strength classes are balanced over
 	// random data. The sampling is seeded from the reference crossbar's
 	// seed so the calibration is a pure function of the fabrication
@@ -324,12 +314,11 @@ func (c *Calibration) buildDense(poe Cell, pc *poeCal) error {
 	rng := rand.New(rand.NewSource(c.xb.Cfg.Seed*1315423911 + int64(pi)))
 	devs := make([]float64, calSamples)
 	for k := range shape {
-		row := wflat[k]
 		for s := 0; s < calSamples; s++ {
 			var d int64
-			for j := range row {
+			for j := range compIdx {
 				lvl := rng.Intn(device.Levels)
-				d += row[j] * levelQ(lvl)
+				d += wT[j*len(shape)+k] * levelQ(lvl)
 			}
 			devs[s] = float64(d) * devInvScale
 		}
@@ -346,7 +335,7 @@ func (c *Calibration) buildDense(poe Cell, pc *poeCal) error {
 	pc.base = base
 	pc.compIdx = compIdx
 	pc.compPos = compPos
-	pc.wflat = wflat
+	pc.wT = wT
 	pc.edges = edges
 	return nil
 }
@@ -354,10 +343,10 @@ func (c *Calibration) buildDense(poe Cell, pc *poeCal) error {
 // flattenSensitivities compacts a dense per-shape-cell weight table into
 // the calibration's sparse layout: complement cells that at least one shape
 // cell is sensitive to, in ascending order (compIdx), the inverse map
-// (compPos, -1 where absent), and per-shape-cell weight rows aligned with
-// compIdx. Shared by both build paths so the record layout is identical
-// regardless of how the weights were computed.
-func flattenSensitivities(cells int, inShape []bool, wdense [][]int64) (compIdx, compPos []int32, wflat [][]int64) {
+// (compPos, -1 where absent), and the weights complement-major along
+// compIdx (wT). Shared by both build paths so the record layout is
+// identical regardless of how the weights were computed.
+func flattenSensitivities(cells int, inShape []bool, wdense [][]int64) (compIdx, compPos []int32, wT []int64) {
 	compPos = make([]int32, cells)
 	for i := range compPos {
 		compPos[i] = -1
@@ -374,15 +363,14 @@ func flattenSensitivities(cells int, inShape []bool, wdense [][]int64) (compIdx,
 			}
 		}
 	}
-	wflat = make([][]int64, len(wdense))
-	for k := range wflat {
-		row := make([]int64, len(compIdx))
-		for j, m := range compIdx {
-			row[j] = wdense[k][m]
+	s := len(wdense)
+	wT = make([]int64, len(compIdx)*s)
+	for j, m := range compIdx {
+		for k := range wdense {
+			wT[j*s+k] = wdense[k][m]
 		}
-		wflat[k] = row
 	}
-	return compIdx, compPos, wflat
+	return compIdx, compPos, wT
 }
 
 // Shape returns the calibrated polyomino for a PoE.
@@ -393,76 +381,72 @@ func (c *Calibration) Shape(poe Cell) ([]Cell, error) {
 	return c.poes[c.cfg.Index(poe)].shape, nil
 }
 
-// deviationsInto computes, per shape cell, the exact integer deviation
-// accumulator sum_j wflat[k][j] * (2*level-3) from scratch. The level
-// coordinates of the complement cells are gathered into q once, not once
-// per shape cell; q is grown when short and returned for reuse (nil is
-// fine). Integer addition is associative (wrapping included), so the split
-// accumulators of dotQ agree bit-for-bit with any other summation order and
-// with incremental maintenance of the same quantity — the property
-// decryption relies on.
-func (pc *poeCal) deviationsInto(dst []int64, levels []int, q []int64) []int64 {
-	n := len(pc.compIdx)
-	if cap(q) < n {
-		q = make([]int64, n)
-	}
-	q = q[:n]
-	for j, m := range pc.compIdx {
-		q[j] = levelQ(levels[m])
-	}
-	for k, row := range pc.wflat {
-		dst[k] = dotQ(row, q)
-	}
-	return q
-}
-
-// dotQ returns the int64 dot product of a weight row and the gathered level
-// coordinates (len(q) >= len(w)), with two independent accumulators so
-// consecutive multiply-adds do not serialize on one register.
-func dotQ(w, q []int64) int64 {
-	q = q[:len(w)]
-	var d0, d1 int64
+// dense recomputes, per shape cell, the exact integer deviation
+// accumulator Σ_j wT[j·S+k]·(2·level−3) from scratch at the packed levels
+// words. It walks compIdx four complement cells per pass: it reads their
+// level coordinates from the packed words into registers and adds
+// w0·q0+w1·q1+w2·q2+w3·q3 along their four weight stripes, so it needs
+// no gather buffer and loads and stores each accumulator once per four
+// cells. Integer addition is associative (wrapping included), so the sums
+// agree bit-for-bit with any other summation order and with incremental
+// maintenance of the same quantity — the property decryption relies on.
+func (pc *poeCal) dense(acc []int64, words []uint64) {
+	s, idx := len(acc), pc.compIdx
+	clear(acc)
 	j := 0
-	for ; j+1 < len(w); j += 2 {
-		d0 += w[j] * q[j]
-		d1 += w[j+1] * q[j+1]
+	for ; j+4 <= len(idx); j += 4 {
+		q0, q1 := wordQ(words, idx[j]), wordQ(words, idx[j+1])
+		q2, q3 := wordQ(words, idx[j+2]), wordQ(words, idx[j+3])
+		w := pc.wT[j*s : (j+4)*s]
+		w0, w1, w2, w3 := w[:s], w[s:][:s], w[2*s:][:s], w[3*s:][:s]
+		for k := range acc {
+			acc[k] += w0[k]*q0 + w1[k]*q1 + w2[k]*q2 + w3[k]*q3
+		}
 	}
-	if j < len(w) {
-		d0 += w[j] * q[j]
+	for ; j < len(idx); j++ {
+		q, w := wordQ(words, idx[j]), pc.wT[j*s:][:s]
+		for k := range acc {
+			acc[k] += w[k] * q
+		}
 	}
-	return d0 + d1
 }
 
-// deviations returns the per-shape-cell sneak-voltage deviations in volts.
-func (c *Calibration) deviations(levels []int, poe Cell) ([]float64, error) {
+// wordQ returns the level coordinate levelQ of cell m of the packed levels
+// words.
+func wordQ(words []uint64, m int32) int64 {
+	return 2*int64(words[m>>5]>>(uint(m&31)*2)&3) - 3
+}
+
+// sums returns the PoE's calibration record and its deviation
+// accumulators at the given per-cell levels: the levels are packed once
+// and summed by the dense kernel the tracker recomputes with. what names
+// the caller in errors.
+func (c *Calibration) sums(levels []int, poe Cell, what string) (*poeCal, []int64, error) {
 	if err := c.ensure(poe); err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if err := checkLevels(levels, c.cfg.Cells(), what); err != nil {
+		return nil, nil, err
 	}
 	pc := &c.poes[c.cfg.Index(poe)]
-	if len(levels) != c.cfg.Cells() {
-		return nil, fmt.Errorf("xbar: deviations needs %d levels, got %d", c.cfg.Cells(), len(levels))
-	}
+	words := make([]uint64, (len(levels)+31)/32)
+	packInto(words, levels)
 	acc := make([]int64, len(pc.shape))
-	pc.deviationsInto(acc, levels, nil)
-	out := make([]float64, len(acc))
-	for k, d := range acc {
-		out[k] = float64(d) * devInvScale
-	}
-	return out, nil
+	pc.dense(acc, words)
+	return pc, acc, nil
 }
 
 // Strengths returns the voltage class (1..3) of every shape cell for the
 // given crossbar state. The class depends only on cells outside the
 // polyomino.
 func (c *Calibration) Strengths(levels []int, poe Cell) ([]int, error) {
-	devs, err := c.deviations(levels, poe)
+	pc, acc, err := c.sums(levels, poe, "Strengths")
 	if err != nil {
 		return nil, err
 	}
-	pc := &c.poes[c.cfg.Index(poe)]
-	out := make([]int, len(devs))
-	for k, d := range devs {
-		e := pc.edges[k]
+	out := make([]int, len(acc))
+	for k, a := range acc {
+		d, e := float64(a)*devInvScale, pc.edges[k]
 		switch {
 		case d < e[0]:
 			out[k] = 1
@@ -492,16 +476,11 @@ func (pc *poeCal) mixer(pi, k int, d int64) uint64 {
 // state of the cells outside the polyomino. This sensitivity is what gives
 // SPE its avalanche behaviour (Section 6.1).
 func (c *Calibration) Mixers(levels []int, poe Cell) ([]uint64, error) {
-	if err := c.ensure(poe); err != nil {
+	pc, acc, err := c.sums(levels, poe, "Mixers")
+	if err != nil {
 		return nil, err
 	}
 	pi := c.cfg.Index(poe)
-	pc := &c.poes[pi]
-	if len(levels) != c.cfg.Cells() {
-		return nil, fmt.Errorf("xbar: Mixers needs %d levels, got %d", c.cfg.Cells(), len(levels))
-	}
-	acc := make([]int64, len(pc.shape))
-	pc.deviationsInto(acc, levels, nil)
 	out := make([]uint64, len(acc))
 	for k, d := range acc {
 		out[k] = pc.mixer(pi, k, d)

@@ -285,11 +285,11 @@ func (c *Calibration) buildSketch(poe Cell, pc *poeCal) error {
 		t.cellsSkipped.Add(int64(cells - len(shape) - visited))
 	}
 	var compIdx, compPos []int32
-	var wflat [][]int64
+	var wT []int64
 	if hier {
-		compIdx, compPos, wflat = flattenSensitivitiesWindowed(cells, inShape, window, wdense)
+		compIdx, compPos, wT = flattenSensitivitiesWindowed(cells, inShape, window, wdense)
 	} else {
-		compIdx, compPos, wflat = flattenSensitivities(cells, inShape, wdense)
+		compIdx, compPos, wT = flattenSensitivities(cells, inShape, wdense)
 	}
 	// Band edges from the CLT instead of the legacy 512-sample Monte Carlo:
 	// over uniform random data the deviation accumulator is a sum of
@@ -300,8 +300,8 @@ func (c *Calibration) buildSketch(poe Cell, pc *poeCal) error {
 	edges := make([][2]float64, len(shape))
 	for k := range shape {
 		var s2 float64
-		for _, wq := range wflat[k] {
-			w := float64(wq)
+		for j := range compIdx {
+			w := float64(wT[j*len(shape)+k])
 			s2 += w * w
 		}
 		sigma := math.Sqrt(5*s2) * devInvScale
@@ -316,7 +316,7 @@ func (c *Calibration) buildSketch(poe Cell, pc *poeCal) error {
 	pc.base = base
 	pc.compIdx = compIdx
 	pc.compPos = compPos
-	pc.wflat = wflat
+	pc.wT = wT
 	pc.edges = edges
 	return nil
 }

@@ -62,9 +62,9 @@ func TestSketchMatchesDenseCalibration(t *testing.T) {
 					t.Fatalf("%dx%d PoE %+v: compIdx[%d] %d vs %d", size.rows, size.cols, poe, j, pcD.compIdx[j], pcS.compIdx[j])
 				}
 			}
-			for k := range pcD.wflat {
-				for j := range pcD.wflat[k] {
-					wd, ws := pcD.wflat[k][j], pcS.wflat[k][j]
+			for k := range pcD.shape {
+				for j := range pcD.compIdx {
+					wd, ws := weight(pcD, k, j), weight(pcS, k, j)
 					lim := int64(math.Abs(float64(wd))*1e-6) + 8
 					if d := wd - ws; d > lim || d < -lim {
 						t.Fatalf("%dx%d PoE %+v w[%d][%d]: dense %d vs sketch %d", size.rows, size.cols, poe, k, j, wd, ws)
@@ -135,10 +135,10 @@ func TestTruncatedDeviationsBitIdentical(t *testing.T) {
 		if len(pcT.compIdx) != len(pcF.compIdx) {
 			t.Fatalf("%dx%d: truncated compIdx %d vs full %d", size.rows, size.cols, len(pcT.compIdx), len(pcF.compIdx))
 		}
-		for k := range pcT.wflat {
-			for j := range pcT.wflat[k] {
-				if pcT.wflat[k][j] != pcF.wflat[k][j] {
-					t.Fatalf("%dx%d w[%d][%d]: truncated %d vs full %d", size.rows, size.cols, k, j, pcT.wflat[k][j], pcF.wflat[k][j])
+		for k := range pcT.shape {
+			for j := range pcT.compIdx {
+				if weight(pcT, k, j) != weight(pcF, k, j) {
+					t.Fatalf("%dx%d w[%d][%d]: truncated %d vs full %d", size.rows, size.cols, k, j, weight(pcT, k, j), weight(pcF, k, j))
 				}
 			}
 		}
@@ -150,8 +150,9 @@ func TestTruncatedDeviationsBitIdentical(t *testing.T) {
 			}
 			dT := make([]int64, len(pcT.shape))
 			dF := make([]int64, len(pcF.shape))
-			pcT.deviationsInto(dT, levels, nil)
-			pcF.deviationsInto(dF, levels, nil)
+			words := packLevels(levels)
+			pcT.dense(dT, words)
+			pcF.dense(dF, words)
 			for k := range dT {
 				if dT[k] != dF[k] {
 					t.Fatalf("%dx%d trial %d shape %d: deviation %d vs %d", size.rows, size.cols, trial, k, dT[k], dF[k])
@@ -185,9 +186,9 @@ func TestTruncationRadiusKeepsExactWeights(t *testing.T) {
 		if jf < 0 {
 			t.Fatalf("kept cell %d missing from full sweep", m)
 		}
-		for k := range pcC.wflat {
-			if pcC.wflat[k][j] != pcF.wflat[k][jf] {
-				t.Fatalf("cell %d shape %d: capped %d vs full %d", m, k, pcC.wflat[k][j], pcF.wflat[k][jf])
+		for k := range pcC.shape {
+			if weight(pcC, k, j) != weight(pcF, k, int(jf)) {
+				t.Fatalf("cell %d shape %d: capped %d vs full %d", m, k, weight(pcC, k, j), weight(pcF, k, int(jf)))
 			}
 		}
 	}

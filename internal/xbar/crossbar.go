@@ -1,6 +1,7 @@
 package xbar
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"snvmm/internal/circuit"
@@ -11,8 +12,7 @@ import (
 type Crossbar struct {
 	Cfg    Config
 	params []device.Params // per-cell (fabrication-varied) parameters; read-only, shared when unvaried
-	levels []int           // per-cell MLC level, row-major
-	packed []uint64        // levels again, 2 bits per cell, 32 cells per word
+	packed []uint64        // per-cell MLC level, row-major, 2 bits per cell, 32 cells per word
 	wear   []uint64        // per-cell pulse count, for endurance studies
 	trk    *devTracker     // incremental deviation state for the pulse path
 	trace  *traceState     // optional per-pulse side-channel sink (nil = off)
@@ -27,7 +27,6 @@ func New(cfg Config) (*Crossbar, error) {
 	return &Crossbar{
 		Cfg:    cfg,
 		params: cfg.cellParams(),
-		levels: make([]int, n),
 		packed: make([]uint64, (n+31)/32),
 		wear:   make([]uint64, n),
 	}, nil
@@ -35,24 +34,46 @@ func New(cfg Config) (*Crossbar, error) {
 
 // Levels returns a copy of the per-cell MLC levels.
 func (x *Crossbar) Levels() []int {
-	out := make([]int, len(x.levels))
-	copy(out, x.levels)
+	out := make([]int, x.Cfg.Cells())
+	for i := range out {
+		out[i] = x.level(i)
+	}
 	return out
 }
 
+// level returns cell i's MLC level.
+func (x *Crossbar) level(i int) int { return int(x.packed[i>>5] >> (uint(i&31) * 2) & 3) }
+
 // SetLevels overwrites the cell state. The slice length must equal Cells().
 func (x *Crossbar) SetLevels(levels []int) error {
-	if len(levels) != len(x.levels) {
-		return fmt.Errorf("xbar: SetLevels length %d != %d", len(levels), len(x.levels))
+	if err := checkLevels(levels, x.Cfg.Cells(), "SetLevels"); err != nil {
+		return err
+	}
+	packInto(x.packed, levels)
+	return nil
+}
+
+// checkLevels reports an error unless levels holds one in-range level per
+// cell; what names the caller.
+func checkLevels(levels []int, cells int, what string) error {
+	if len(levels) != cells {
+		return fmt.Errorf("xbar: %s needs %d levels, got %d", what, cells, len(levels))
 	}
 	for i, l := range levels {
 		if l < 0 || l >= device.Levels {
 			return fmt.Errorf("xbar: level %d at cell %d out of range", l, i)
 		}
 	}
-	copy(x.levels, levels)
-	x.pack()
 	return nil
+}
+
+// packInto packs in-range levels into dst, 2 bits per cell and 32 cells
+// per word; the bits past the last cell are left zero.
+func packInto(dst []uint64, levels []int) {
+	clear(dst)
+	for i, l := range levels {
+		dst[i>>5] |= uint64(l) << (uint(i&31) * 2)
+	}
 }
 
 // Wear returns a copy of the per-cell pulse counts.
@@ -64,35 +85,34 @@ func (x *Crossbar) Wear() []uint64 {
 
 // BlockBytes is the data capacity of one crossbar in bytes: each cell stores
 // 2 bits, row-major, least-significant pair first within a byte.
-func (x *Crossbar) BlockBytes() int { return len(x.levels) / 4 }
+func (x *Crossbar) BlockBytes() int { return x.Cfg.Cells() / 4 }
 
 // WriteBlock programs plaintext data into the array (the paper's write
 // phase: a normal MLC write with sneak paths suppressed). data must be
-// exactly BlockBytes long.
+// exactly BlockBytes long. Every cell is charged one pulse of wear; the
+// cells past the last whole byte, when Cells() is not a multiple of 4,
+// keep their levels. A cell's bits are the complement of its level
+// (device.LevelBits), so each data byte is the bitwise NOT of the matching
+// byte of the little-endian packed words, and the block is written (and
+// read, AppendBlock) a word at a time.
 func (x *Crossbar) WriteBlock(data []byte) error {
 	if len(data) != x.BlockBytes() {
 		return fmt.Errorf("xbar: WriteBlock needs %d bytes, got %d", x.BlockBytes(), len(data))
 	}
-	for i := range x.levels {
-		bits := data[i/4] >> uint((i%4)*2) & 0x3
-		x.levels[i] = device.BitsLevel(bits)
+	for w := range x.packed {
+		var buf [8]byte
+		n := copy(buf[:], data[8*w:])
+		mask := ^uint64(0) >> (64 - 8*uint(n)) // the cells the data covers
+		x.packed[w] = x.packed[w]&^mask | ^binary.LittleEndian.Uint64(buf[:])&mask
+	}
+	for i := range x.wear {
 		x.wear[i]++
 	}
-	x.pack()
 	return nil
 }
 
-// pack rebuilds the packed levels from levels after a bulk write.
-func (x *Crossbar) pack() {
-	clear(x.packed)
-	for i, l := range x.levels {
-		x.packed[i>>5] |= uint64(l) << (uint(i&31) * 2)
-	}
-}
-
-// setLevel sets cell i to level l in both representations.
+// setLevel sets cell i to level l.
 func (x *Crossbar) setLevel(i, l int) {
-	x.levels[i] = l
 	sh := uint(i&31) * 2
 	x.packed[i>>5] = x.packed[i>>5]&^(3<<sh) | uint64(l)<<sh
 }
@@ -107,12 +127,11 @@ func (x *Crossbar) ReadBlock() []byte {
 // stored bytes to dst, so a caller assembling several crossbars into one
 // buffer reads them out without a buffer per crossbar.
 func (x *Crossbar) AppendBlock(dst []byte) []byte {
-	for j := 0; j < x.BlockBytes(); j++ {
-		var b byte
-		for k, l := range x.levels[4*j : 4*j+4] {
-			b |= device.LevelBits(l) << uint(2*k)
-		}
-		dst = append(dst, b)
+	var buf [8]byte
+	n := x.BlockBytes()
+	for w, v := range x.packed {
+		binary.LittleEndian.PutUint64(buf[:], ^v)
+		dst = append(dst, buf[:min(8, n-8*w)]...)
 	}
 	return dst
 }
@@ -251,7 +270,7 @@ func (x *Crossbar) assembleSneakCore(cellR []float64) (*circuit.Network, int, er
 	if cellR == nil {
 		cellR = make([]float64, cfg.Cells())
 		for i := range cellR {
-			cellR[i] = x.resistance(i, x.levels[i])
+			cellR[i] = x.resistance(i, x.level(i))
 		}
 	} else if len(cellR) != cfg.Cells() {
 		return nil, 0, fmt.Errorf("xbar: cellR length %d != %d", len(cellR), cfg.Cells())

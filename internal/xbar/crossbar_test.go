@@ -3,6 +3,7 @@ package xbar
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"snvmm/internal/device"
@@ -334,6 +335,50 @@ func TestTransientSubThresholdNoDrift(t *testing.T) {
 		}
 		if d != 0 {
 			t.Errorf("sub-threshold cell %d drifted %g (saw %.2f V)", i, d, res.MaxVoltage[i])
+		}
+	}
+}
+
+// TestBlockIOWordWide checks the word-wide block I/O at 5x5, 6x6 and 12x12,
+// whose last packed word is partial (and at 5x5 the last data byte too):
+// ReadBlock returns what WriteBlock wrote, and after every WriteBlock,
+// ApplyPulse, Rewind and SetLevels the levels equal the per-cell model and
+// the packed words are its reference packing (checkTracker), so the padding
+// bits past the last cell stay zero — pending and cellBits would count a
+// nonzero field there as a changed complement cell.
+func TestBlockIOWordWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, size := range []int{5, 6, 12} {
+		x, err := New(sizedConfig(size, size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cal := Calibrate(x)
+		cells := x.Cfg.Cells()
+		m := make(cellModel, cells)
+		var snap Snapshot
+		for round := 0; round < 12; round++ {
+			data := make([]byte, x.BlockBytes())
+			rng.Read(data)
+			writeBlock(t, x, m, data)
+			checkTracker(t, x, cal, m)
+			if got := x.ReadBlock(); !bytes.Equal(got, data) {
+				t.Fatalf("%dx%d round %d: ReadBlock %x after WriteBlock %x", size, size, round, got, data)
+			}
+			x.Save(&snap)
+			saved := slices.Clone(m)
+			for k := 0; k < 4; k++ {
+				applyPulse(t, x, cal, m, x.Cfg.CellAt(rng.Intn(cells)), rng.Intn(device.NumPulses))
+				checkTracker(t, x, cal, m)
+			}
+			x.Rewind(&snap)
+			copy(m, saved)
+			checkTracker(t, x, cal, m)
+			if got := x.ReadBlock(); !bytes.Equal(got, data) {
+				t.Fatalf("%dx%d round %d: ReadBlock %x after Rewind, want %x", size, size, round, got, data)
+			}
+			setLevels(t, x, m, randomLevels(rng, cells))
+			checkTracker(t, x, cal, m)
 		}
 	}
 }

@@ -263,7 +263,7 @@ func (scr *hierScratch) weightSlab(rows, width int) [][]int64 {
 // weight table: wwin[k] is aligned with window, and only window cells can
 // carry weight. The output layout is identical (ascending compIdx,
 // cells-length compPos) so every calibration consumer is path-agnostic.
-func flattenSensitivitiesWindowed(cells int, inShape []bool, window []int32, wwin [][]int64) (compIdx, compPos []int32, wflat [][]int64) {
+func flattenSensitivitiesWindowed(cells int, inShape []bool, window []int32, wwin [][]int64) (compIdx, compPos []int32, wT []int64) {
 	compPos = make([]int32, cells)
 	for i := range compPos {
 		compPos[i] = -1
@@ -282,13 +282,12 @@ func flattenSensitivitiesWindowed(cells int, inShape []bool, window []int32, wwi
 			}
 		}
 	}
-	wflat = make([][]int64, len(wwin))
-	for k := range wflat {
-		row := make([]int64, len(compIdx))
-		for j, p := range keep {
-			row[j] = wwin[k][p]
+	s := len(wwin)
+	wT = make([]int64, len(compIdx)*s)
+	for j, p := range keep {
+		for k := range wwin {
+			wT[j*s+k] = wwin[k][p]
 		}
-		wflat[k] = row
 	}
-	return compIdx, compPos, wflat
+	return compIdx, compPos, wT
 }

@@ -69,9 +69,9 @@ func TestHierMatchesDenseCalibration(t *testing.T) {
 				t.Fatalf("PoE %+v: compIdx[%d] %d vs %d", poe, j, pcD.compIdx[j], pcH.compIdx[j])
 			}
 		}
-		for k := range pcD.wflat {
-			for j := range pcD.wflat[k] {
-				wd, wh := pcD.wflat[k][j], pcH.wflat[k][j]
+		for k := range pcD.shape {
+			for j := range pcD.compIdx {
+				wd, wh := weight(pcD, k, j), weight(pcH, k, j)
 				lim := int64(math.Abs(float64(wd))*1e-6) + 8
 				if d := wd - wh; d > lim || d < -lim {
 					t.Fatalf("PoE %+v w[%d][%d]: dense %d vs hier %d", poe, k, j, wd, wh)
@@ -102,9 +102,9 @@ func TestHierMatchesSketch16(t *testing.T) {
 				t.Fatalf("PoE %+v: compIdx[%d] %d vs %d", poe, j, pcS.compIdx[j], pcH.compIdx[j])
 			}
 		}
-		for k := range pcS.wflat {
-			for j := range pcS.wflat[k] {
-				ws, wh := pcS.wflat[k][j], pcH.wflat[k][j]
+		for k := range pcS.shape {
+			for j := range pcS.compIdx {
+				ws, wh := weight(pcS, k, j), weight(pcH, k, j)
 				lim := int64(math.Abs(float64(ws))*1e-6) + 8
 				if d := ws - wh; d > lim || d < -lim {
 					t.Fatalf("PoE %+v w[%d][%d]: sketch %d vs hier %d", poe, k, j, ws, wh)
@@ -140,9 +140,9 @@ func TestHierTruncationKeepsExactWeights(t *testing.T) {
 		if jw < 0 {
 			t.Fatalf("kept cell %d missing from wide sweep", m)
 		}
-		for k := range pcN.wflat {
-			if pcN.wflat[k][j] != pcW.wflat[k][jw] {
-				t.Fatalf("cell %d shape %d: narrow %d vs wide %d", m, k, pcN.wflat[k][j], pcW.wflat[k][jw])
+		for k := range pcN.shape {
+			if weight(pcN, k, j) != weight(pcW, k, int(jw)) {
+				t.Fatalf("cell %d shape %d: narrow %d vs wide %d", m, k, weight(pcN, k, j), weight(pcW, k, int(jw)))
 			}
 		}
 	}

@@ -13,14 +13,15 @@ import (
 
 // TestIncrementalDeviationsMatchScratch drives a long random mix of pulses,
 // block writes, SetLevels and Save/Rewind at 8x8 and 16x16 and, after every
-// step, checks the tracker invariant (checkTracker): the packed words equal
-// the levels, and every live accumulator equals a from-scratch reference sum
-// at the levels it was last synced to. Every pulse must also have read the
-// exact sums of the levels it found (pulseErr), and every few steps all
-// live PoEs are synced and checked against the current levels too. Decryption
-// correctness rests on this exactness: if the diff and a recompute could
-// disagree in even one ULP, the mixer words — and therefore the level
-// permutations — would diverge between encrypt and decrypt.
+// step, checks the tracker invariant (checkTracker): the crossbar's levels
+// equal the test's own per-cell model of them, and every live accumulator
+// equals a from-scratch reference sum at the levels it was last synced to.
+// Every pulse must also have read the exact sums of the levels it found
+// (pulseErr), and every few steps all live PoEs are synced and checked
+// against the current levels too. Decryption correctness rests on this
+// exactness: if the diff and a recompute could disagree in even one ULP,
+// the mixer words — and therefore the level permutations — would diverge
+// between encrypt and decrypt.
 func TestIncrementalDeviationsMatchScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, cfg := range []Config{DefaultConfig(), sizedConfig(16, 16)} {
@@ -29,44 +30,49 @@ func TestIncrementalDeviationsMatchScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		cal := Calibrate(xb)
+		m := make(cellModel, cfg.Cells())
 		poes := []Cell{{0, 0}, {2, 4}, {5, 1}, {7, 7}, {3, 3}, {6, 2}}
 		var snap Snapshot
-		saved := false
+		var saved cellModel
 		for step := 0; step < 600; step++ {
 			switch op := rng.Intn(20); {
 			case op == 0:
 				data := make([]byte, xb.BlockBytes())
 				rng.Read(data)
-				if err := xb.WriteBlock(data); err != nil {
-					t.Fatal(err)
-				}
-				saved = false
+				writeBlock(t, xb, m, data)
+				saved = nil
 			case op == 1:
-				if err := xb.SetLevels(randomLevels(rng, cfg.Cells())); err != nil {
-					t.Fatal(err)
-				}
-				saved = false
+				setLevels(t, xb, m, randomLevels(rng, cfg.Cells()))
+				saved = nil
 			case op == 2:
 				xb.Save(&snap)
-				saved = true
-			case op == 3 && saved:
+				saved = slices.Clone(m)
+			case op == 3 && saved != nil:
 				xb.Rewind(&snap)
+				copy(m, saved)
 			default:
-				applyPulse(t, xb, cal, poes[rng.Intn(len(poes))], rng.Intn(device.NumPulses))
+				applyPulse(t, xb, cal, m, poes[rng.Intn(len(poes))], rng.Intn(device.NumPulses))
 			}
-			checkTracker(t, xb, cal)
+			checkTracker(t, xb, cal, m)
 			if step%7 == 0 {
 				syncAll(t, xb, cal)
 			}
 		}
 		syncAll(t, xb, cal)
 	}
+}
 
-	// The gathered scratch kernel and the first-touch sums against the
-	// reference double loop, for every PoE of the paper's 8x8 device and of
-	// a 16x16 sketch calibration, with random levels. One gather buffer is reused across
-	// PoEs of different complement sizes, as a crossbar's tracker reuses it.
-	for _, cfg := range []Config{DefaultConfig(), sizedConfig(16, 16)} {
+// TestDenseKernelMatchesReference checks the dense kernel (poeCal.dense)
+// and the first-touch sums against the reference double loop, for every
+// PoE of the paper's 8x8 device, of a 16x16 sketch calibration and of 6x6
+// and 12x12 devices, on seeded random packed states. At 6x6 and 12x12 the
+// cell count is not a multiple of 32, so the last packed word is partial,
+// and some PoEs' complements are not a multiple of the kernel's four cells
+// per pass, so its tail loop runs too. The padding bits of the random
+// words are zero, as the crossbar keeps them.
+func TestDenseKernelMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, cfg := range []Config{DefaultConfig(), sizedConfig(16, 16), sizedConfig(6, 6), sizedConfig(12, 12)} {
 		x, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -75,27 +81,37 @@ func TestIncrementalDeviationsMatchScratch(t *testing.T) {
 		if err := c.WarmAll(context.Background(), 1); err != nil {
 			t.Fatal(err)
 		}
-		lv := make([]int, cfg.Cells())
-		var q []int64
+		cells := cfg.Cells()
+		words := make([]uint64, (cells+31)/32)
+		tails := 0
 		for pi := range c.poes {
 			pc := &c.poes[pi]
-			if !slices.Equal(pc.acc0, deviationsRef(pc, make([]int, cfg.Cells()))) {
+			if len(pc.compIdx)%4 != 0 {
+				tails++
+			}
+			if !slices.Equal(pc.acc0, deviationsRef(pc, make([]int, cells))) {
 				t.Fatalf("%dx%d PoE %d: acc0 %v is not the all-level-0 sum", cfg.Rows, cfg.Cols, pi, pc.acc0)
 			}
+			got := make([]int64, len(pc.shape))
 			for trial := 0; trial < 4; trial++ {
-				for i := range lv {
-					lv[i] = rng.Intn(device.Levels)
+				for w := range words {
+					words[w] = rng.Uint64()
 				}
-				got := make([]int64, len(pc.shape))
-				q = pc.deviationsInto(got, lv, q)
-				ref := deviationsRef(pc, lv)
+				if r := cells % 32; r != 0 {
+					words[len(words)-1] &= 1<<(2*r) - 1
+				}
+				pc.dense(got, words)
+				ref := deviationsRef(pc, unpackLevels(words, cells))
 				for k := range got {
 					if got[k] != ref[k] {
-						t.Fatalf("%dx%d PoE %d shape cell %d: gathered kernel %d != reference %d",
+						t.Fatalf("%dx%d PoE %d shape cell %d: dense kernel %d != reference %d",
 							cfg.Rows, cfg.Cols, pi, k, got[k], ref[k])
 					}
 				}
 			}
+		}
+		if cells%32 != 0 && tails == 0 {
+			t.Fatalf("%dx%d: no PoE's complement exercises the kernel's tail loop", cfg.Rows, cfg.Cols)
 		}
 	}
 }
@@ -127,6 +143,53 @@ func unpackLevels(words []uint64, n int) []int {
 	return out
 }
 
+// cellModel is the tests' own model of a crossbar's levels: one int per
+// cell, which every op the tests apply updates by its definition and not
+// through the crossbar's packed store. A block write decodes each cell's
+// bit pair of the data, and a pulse permutes its shape cells under the
+// mixers of the reference sums (deviationsRef) at the model's levels. A
+// fresh crossbar's model is all zeros, like the crossbar.
+type cellModel []int
+
+// write models WriteBlock(data): cell i stores bit pair i%4 of byte i/4.
+func (m cellModel) write(data []byte) {
+	for i := range m[:4*len(data)] {
+		m[i] = device.BitsLevel(data[i/4] >> (2 * (i % 4)) & 3)
+	}
+}
+
+// pulse models ApplyPulse(cal, poe, class).
+func (m cellModel) pulse(cal *Calibration, poe Cell, class int) {
+	pi := cal.poeIndex(poe)
+	pc := &cal.poes[pi]
+	for k, d := range deviationsRef(pc, m) {
+		p, i := permIndex(class%device.NumWidths, pc.mixer(pi, k, d), int(pc.shapeIdx[k])), pc.shapeIdx[k]
+		if class >= device.NumWidths {
+			m[i] = invPerms[p][m[i]]
+		} else {
+			m[i] = perms[p][m[i]]
+		}
+	}
+}
+
+// writeBlock writes data to x and to its model m.
+func writeBlock(t testing.TB, x *Crossbar, m cellModel, data []byte) {
+	t.Helper()
+	if err := x.WriteBlock(data); err != nil {
+		t.Fatal(err)
+	}
+	m.write(data)
+}
+
+// setLevels sets x's levels and its model m's.
+func setLevels(t testing.TB, x *Crossbar, m cellModel, levels []int) {
+	t.Helper()
+	if err := x.SetLevels(levels); err != nil {
+		t.Fatal(err)
+	}
+	copy(m, levels)
+}
+
 // livePoEs returns the linear index of every PoE x's tracker has synced;
 // its state is trackedState(x, &cal.poes[pi]).
 func livePoEs(x *Crossbar, cal *Calibration) []int {
@@ -152,29 +215,31 @@ func trackedState(x *Crossbar, pc *poeCal) (acc []int64, words []uint64, tag uin
 	return t.acc[pc.accOff : pc.accOff+s], t.words[pc.slot*nw : (pc.slot+1)*nw], m[0], m[1:]
 }
 
-// applyPulse applies one pulse and fails t unless pulseErr passes.
-func applyPulse(t testing.TB, x *Crossbar, cal *Calibration, poe Cell, class int) {
+// applyPulse applies one pulse to x and its model m and fails t unless
+// pulseErr passes.
+func applyPulse(t testing.TB, x *Crossbar, cal *Calibration, m cellModel, poe Cell, class int) {
 	t.Helper()
-	if err := pulseErr(x, cal, poe, class); err != nil {
+	if err := pulseErr(x, cal, m, poe, class); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// pulseErr applies one pulse and checks that the accumulator it read was
-// exact for the levels the pulse found, so a sync that skipped a changed
-// cell fails even though the tracker invariant still holds, and that the
-// pulse left its width's permutation indices in the PoE's memo (memoErr).
-func pulseErr(x *Crossbar, cal *Calibration, poe Cell, class int) error {
-	pre := x.Levels()
+// pulseErr applies one pulse to x and to its model m, and checks that the
+// accumulator the pulse read was exact for the levels it found (the
+// model's), so a sync that skipped a changed cell fails even though the
+// tracker invariant still holds, and that the pulse left its width's
+// permutation indices in the PoE's memo (memoErr).
+func pulseErr(x *Crossbar, cal *Calibration, m cellModel, poe Cell, class int) error {
 	if err := x.ApplyPulse(cal, poe, class); err != nil {
 		return err
 	}
 	pi := cal.poeIndex(poe)
 	pc := &cal.poes[pi]
 	acc, _, tag, _ := trackedState(x, pc)
-	if want := deviationsRef(pc, pre); !slices.Equal(acc, want) {
+	if want := deviationsRef(pc, m); !slices.Equal(acc, want) {
 		return fmt.Errorf("pulse at %+v read accumulator %v, reference at the levels it found %v", poe, acc, want)
 	}
+	m.pulse(cal, poe, class)
 	if want := memoTouched | uint8(class%device.NumWidths+1); tag != want {
 		return fmt.Errorf("pulse at %+v left memo tag %#x, want %#x", poe, tag, want)
 	}
@@ -199,25 +264,29 @@ func memoErr(x *Crossbar, pi int, pc *poeCal) error {
 }
 
 // checkTracker fails t unless trackerErr finds x's tracker sound.
-func checkTracker(t testing.TB, x *Crossbar, cal *Calibration) {
+func checkTracker(t testing.TB, x *Crossbar, cal *Calibration, m cellModel) {
 	t.Helper()
-	if err := trackerErr(x, cal); err != nil {
+	if err := trackerErr(x, cal, m); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // trackerErr checks the tracker invariant without syncing anything: x's
-// packed words equal its levels, every live accumulator equals the
-// reference sum at the packed levels it was last synced to, and every
-// tagged memo matches its accumulator (memoErr).
-func trackerErr(x *Crossbar, cal *Calibration) error {
-	if !slices.Equal(x.packed, packLevels(x.levels)) {
-		return fmt.Errorf("packed words %x do not match levels %v", x.packed, x.levels)
+// levels equal its model m and its packed words are the reference packing
+// of them (so the padding bits past the last cell are zero), every live
+// accumulator equals the reference sum at the packed levels it was last
+// synced to, and every tagged memo matches its accumulator (memoErr).
+func trackerErr(x *Crossbar, cal *Calibration, m cellModel) error {
+	if lv := x.Levels(); !slices.Equal(lv, m) {
+		return fmt.Errorf("levels %v do not match the per-cell model %v", lv, m)
+	}
+	if want := packLevels(m); !slices.Equal(x.packed, want) {
+		return fmt.Errorf("packed words %x, want %x", x.packed, want)
 	}
 	for _, pi := range livePoEs(x, cal) {
 		pc := &cal.poes[pi]
 		acc, words, _, _ := trackedState(x, pc)
-		if want := deviationsRef(pc, unpackLevels(words, len(x.levels))); !slices.Equal(acc, want) {
+		if want := deviationsRef(pc, unpackLevels(words, len(m))); !slices.Equal(acc, want) {
 			return fmt.Errorf("PoE slot %d: accumulator %v, reference at its synced levels %v", pc.slot, acc, want)
 		}
 		if err := memoErr(x, pi, pc); err != nil {
@@ -238,9 +307,10 @@ func syncAll(t testing.TB, x *Crossbar, cal *Calibration) {
 // syncErr syncs every live PoE of x's tracker and checks each against the
 // reference sum at x's current levels.
 func syncErr(x *Crossbar, cal *Calibration) error {
+	lv := x.Levels()
 	for _, pi := range livePoEs(x, cal) {
 		pc := &cal.poes[pi]
-		if got, want := x.trk.sync(pc, x), deviationsRef(pc, x.levels); !slices.Equal(got, want) {
+		if got, want := x.trk.sync(pc, x), deviationsRef(pc, lv); !slices.Equal(got, want) {
 			return fmt.Errorf("PoE slot %d: synced accumulator %v, reference %v", pc.slot, got, want)
 		}
 	}
@@ -251,16 +321,20 @@ func syncErr(x *Crossbar, cal *Calibration) error {
 // shape cells and complement cells, converting each complement level where
 // it is used.
 func deviationsRef(pc *poeCal, levels []int) []int64 {
-	out := make([]int64, len(pc.wflat))
-	for k, row := range pc.wflat {
+	out := make([]int64, len(pc.shape))
+	for k := range out {
 		var d int64
 		for j, m := range pc.compIdx {
-			d += row[j] * levelQ(levels[m])
+			d += weight(pc, k, j) * levelQ(levels[m])
 		}
 		out[k] = d
 	}
 	return out
 }
+
+// weight returns the quantized sensitivity of shape cell k of pc to its
+// j-th complement cell.
+func weight(pc *poeCal, k, j int) int64 { return pc.wT[j*len(pc.shape)+k] }
 
 // TestPulseRoundTripWithSharedCalibration checks that a pulse sequence
 // applied through a process-shared calibration decrypts exactly, on a

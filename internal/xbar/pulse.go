@@ -103,7 +103,7 @@ func (x *Crossbar) ApplyPulse(cal *Calibration, poe Cell, class int) error {
 	for k, ci := range pc.shapeIdx {
 		i := int(ci)
 		pi := pis[k]
-		old := x.levels[i]
+		old := x.level(i)
 		nl := perms[pi][old]
 		if negative {
 			nl = invPerms[pi][old]

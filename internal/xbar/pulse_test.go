@@ -289,6 +289,15 @@ func TestStrengthsDeterministicAndInRange(t *testing.T) {
 			t.Error("strengths not deterministic")
 		}
 	}
+	// The []int API packs its argument, 2 bits per cell: a level outside
+	// [0, Levels) or a wrong length is an error, not a neighbour's bits.
+	levels[5] = device.Levels
+	if _, err := cal.Strengths(levels, Cell{1, 1}); err == nil {
+		t.Error("Strengths accepted an out-of-range level")
+	}
+	if _, err := cal.Mixers(levels[:len(levels)-1], Cell{1, 1}); err == nil {
+		t.Error("Mixers accepted a short level slice")
+	}
 }
 
 func TestCalibrationBaseline(t *testing.T) {

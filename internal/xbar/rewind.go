@@ -1,18 +1,16 @@
 package xbar
 
-// Snapshot is a saved copy of a crossbar's cell levels and wear, taken by
-// Save and returned to by Rewind. Its buffers are reused across Saves, so a
-// caller that keeps one Snapshot per serialized owner saves without
-// allocating.
+// Snapshot is a saved copy of a crossbar's packed cell levels and wear,
+// taken by Save and returned to by Rewind. Its buffers are reused across
+// Saves, so a caller that keeps one Snapshot per serialized owner saves
+// without allocating.
 type Snapshot struct {
-	levels []int
 	packed []uint64
 	wear   []uint64
 }
 
 // Save copies the crossbar's levels and wear into s.
 func (x *Crossbar) Save(s *Snapshot) {
-	s.levels = append(s.levels[:0], x.levels...)
 	s.packed = append(s.packed[:0], x.packed...)
 	s.wear = append(s.wear[:0], x.wear...)
 }
@@ -32,7 +30,6 @@ func (x *Crossbar) Save(s *Snapshot) {
 // in between would be charged as pulse wear), s must hold a Save of this
 // crossbar, and no trace records are emitted for the rewound pulses.
 func (x *Crossbar) Rewind(s *Snapshot) {
-	copy(x.levels, s.levels)
 	copy(x.packed, s.packed)
 	for i, w := range s.wear {
 		x.wear[i] += x.wear[i] - w

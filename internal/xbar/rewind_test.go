@@ -13,10 +13,10 @@ import (
 // stands in for, at 8x8 and 16x16. Two identical crossbars take the same
 // random forward pulses; one is then rewound, the other gets the inverse
 // pulses in reverse order. Levels and per-cell wear must agree after every
-// round, and both trackers must hold their invariant (checkTracker) after
-// every step. Between rounds both crossbars sometimes take the same
-// WriteBlock or SetLevels, so Rewinds also land on trackers whose PoEs were
-// last synced before a bulk write.
+// round, and both trackers must hold their invariant (checkTracker) against
+// their per-cell models after every step. Between rounds both crossbars
+// sometimes take the same WriteBlock or SetLevels, so Rewinds also land on
+// trackers whose PoEs were last synced before a bulk write.
 func TestRewindMatchesInverseTrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, cfg := range []Config{DefaultConfig(), sizedConfig(16, 16)} {
@@ -29,6 +29,7 @@ func TestRewindMatchesInverseTrain(t *testing.T) {
 			t.Fatal(err)
 		}
 		cal := Calibrate(a)
+		ma, mb := make(cellModel, cfg.Cells()), make(cellModel, cfg.Cells())
 		poes := []Cell{{0, 0}, {2, 4}, {5, 1}, {7, 7}, {3, 3}, {6, 2}, {1, 6}, {4, 5}}
 		type pulse struct {
 			poe   Cell
@@ -40,40 +41,35 @@ func TestRewindMatchesInverseTrain(t *testing.T) {
 			case 0:
 				data := make([]byte, a.BlockBytes())
 				rng.Read(data)
-				for _, x := range []*Crossbar{a, b} {
-					if err := x.WriteBlock(data); err != nil {
-						t.Fatal(err)
-					}
-				}
+				writeBlock(t, a, ma, data)
+				writeBlock(t, b, mb, data)
 			case 1:
 				levels := randomLevels(rng, cfg.Cells())
-				for _, x := range []*Crossbar{a, b} {
-					if err := x.SetLevels(levels); err != nil {
-						t.Fatal(err)
-					}
-				}
+				setLevels(t, a, ma, levels)
+				setLevels(t, b, mb, levels)
 			}
-			checkTracker(t, a, cal)
-			checkTracker(t, b, cal)
+			checkTracker(t, a, cal, ma)
+			checkTracker(t, b, cal, mb)
 			train := make([]pulse, 1+rng.Intn(12))
 			for k := range train {
 				train[k] = pulse{poes[rng.Intn(len(poes))], rng.Intn(device.NumPulses)}
 			}
-			saved := a.Levels()
+			saved := slices.Clone(ma)
 			a.Save(&snap)
 			for _, p := range train {
-				for _, x := range []*Crossbar{a, b} {
-					applyPulse(t, x, cal, p.poe, p.class)
-					checkTracker(t, x, cal)
-				}
+				applyPulse(t, a, cal, ma, p.poe, p.class)
+				checkTracker(t, a, cal, ma)
+				applyPulse(t, b, cal, mb, p.poe, p.class)
+				checkTracker(t, b, cal, mb)
 			}
 			for k := len(train) - 1; k >= 0; k-- {
-				applyPulse(t, b, cal, train[k].poe, InverseClass(train[k].class))
-				checkTracker(t, b, cal)
+				applyPulse(t, b, cal, mb, train[k].poe, InverseClass(train[k].class))
+				checkTracker(t, b, cal, mb)
 			}
 			a.Rewind(&snap)
-			checkTracker(t, a, cal)
-			if !slices.Equal(a.levels, saved) || !slices.Equal(a.levels, b.levels) {
+			copy(ma, saved)
+			checkTracker(t, a, cal, ma)
+			if lv := a.Levels(); !slices.Equal(lv, saved) || !slices.Equal(lv, b.Levels()) {
 				t.Fatalf("%dx%d round %d: rewound levels differ from the saved state or the inverse train", cfg.Rows, cfg.Cols, round)
 			}
 			if !slices.Equal(a.wear, b.wear) {
@@ -99,22 +95,19 @@ func TestInverseTrainFindsNoChanges(t *testing.T) {
 			t.Fatal(err)
 		}
 		cal := Calibrate(x)
+		m := make(cellModel, cfg.Cells())
 		poes := []Cell{{0, 0}, {2, 4}, {5, 1}, {7, 7}, {3, 3}, {6, 2}, {1, 6}, {4, 5}}
 		for round := 0; round < 20; round++ {
 			if round%4 == 0 {
 				data := make([]byte, x.BlockBytes())
 				rng.Read(data)
-				if err := x.WriteBlock(data); err != nil {
-					t.Fatal(err)
-				}
+				writeBlock(t, x, m, data)
 			}
 			order := rng.Perm(len(poes))
 			classes := make([]int, len(order))
 			for k, p := range order {
 				classes[k] = rng.Intn(device.NumPulses)
-				if err := x.ApplyPulse(cal, poes[p], classes[k]); err != nil {
-					t.Fatal(err)
-				}
+				applyPulse(t, x, cal, m, poes[p], classes[k])
 			}
 			for k := len(order) - 1; k >= 0; k-- {
 				poe := poes[order[k]]
@@ -124,11 +117,9 @@ func TestInverseTrainFindsNoChanges(t *testing.T) {
 					t.Fatalf("%dx%d round %d: inverse pulse at %+v finds %d changed complement cells, want 0",
 						cfg.Rows, cfg.Cols, round, poe, n)
 				}
-				if err := x.ApplyPulse(cal, poe, InverseClass(classes[k])); err != nil {
-					t.Fatal(err)
-				}
+				applyPulse(t, x, cal, m, poe, InverseClass(classes[k]))
 			}
-			checkTracker(t, x, cal)
+			checkTracker(t, x, cal, m)
 		}
 	}
 }

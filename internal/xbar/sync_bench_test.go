@@ -28,10 +28,9 @@ func BenchmarkDeviationSync(b *testing.B) {
 	}
 }
 
-// syncStep is one recorded pulse: the PoE and the crossbar state it saw.
+// syncStep is one recorded pulse: the PoE and the packed levels it saw.
 type syncStep struct {
 	pc     *poeCal
-	levels []int
 	packed []uint64
 }
 
@@ -50,7 +49,7 @@ func benchSync(b *testing.B, size int, overwrite bool) {
 	}
 	var steps []syncStep
 	record := func(poe Cell, class int) {
-		steps = append(steps, syncStep{&cal.poes[cal.poeIndex(poe)], x.Levels(), append([]uint64(nil), x.packed...)})
+		steps = append(steps, syncStep{&cal.poes[cal.poeIndex(poe)], append([]uint64(nil), x.packed...)})
 		if err := x.ApplyPulse(cal, poe, class); err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +86,7 @@ func benchSync(b *testing.B, size int, overwrite bool) {
 	}
 	t := y.tracker(cal)
 	replay := func(s *syncStep) []int64 {
-		y.levels, y.packed = s.levels, s.packed
+		y.packed = s.packed
 		return t.sync(s.pc, y)
 	}
 	for i := range steps {

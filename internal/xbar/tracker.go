@@ -47,7 +47,6 @@ type devTracker struct {
 	acc   []int64
 	words []uint64
 	memo  []uint8
-	qbuf  []int64 // gathered level coordinates for the dense kernel
 }
 
 // memoTouched marks a PoE's memo tag once the PoE has been synced. The
@@ -68,11 +67,12 @@ func (x *Crossbar) tracker(cal *Calibration) *devTracker {
 // the crossbar's current levels and returns it. A PoE seen for the first
 // time starts from the all-level-0 state (acc0), so first touch is a diff
 // too. When more than 5/8 of the complement changed — fresh data after a
-// write — the dense kernel is cheaper than the per-cell updates and
-// recomputes the sums; both give the identical int64 values. (5/8 is the
-// measured crossover of the two on the 8x8 and 16x16 devices: ~0.6 of the
-// complement at both sizes, see EXPERIMENTS.md.) Either way the PoE's
-// memoized permutation indices are invalidated.
+// write — the dense kernel (poeCal.dense) is cheaper than the per-cell
+// updates and recomputes the sums from the packed words; both give the
+// identical int64 values. (5/8 is the measured crossover of the two on the
+// 8x8 and 16x16 devices: 0.60-0.65 of the complement at both sizes, see
+// EXPERIMENTS.md.) Either way the PoE's memoized permutation indices are
+// invalidated.
 func (t *devTracker) sync(pc *poeCal, x *Crossbar) []int64 {
 	s, nw := len(pc.acc0), len(x.packed)
 	if pc.accOff+pc.slot+1+s > len(t.memo) {
@@ -90,7 +90,7 @@ func (t *devTracker) sync(pc *poeCal, x *Crossbar) []int64 {
 	case changed == 0:
 		return acc
 	case 8*changed > 5*len(pc.compIdx):
-		t.qbuf = pc.deviationsInto(acc, x.levels, t.qbuf)
+		pc.dense(acc, cur)
 	default:
 		for w, m := range pc.compMask {
 			d := cellBits((cur[w] ^ old[w]) & m)

@@ -12,8 +12,8 @@ import (
 // FuzzTrackerMatchesScratch decodes the input into a mix of pulses, block
 // writes, SetLevels and Save/Rewind on an 8x8 crossbar, three bytes per op,
 // and checks every pulse's accumulator (pulseErr), the tracker invariant
-// (checkTracker) after every op, and every live accumulator against a
-// from-scratch sum at the end.
+// (checkTracker) against a per-cell model of the levels after every op, and
+// every live accumulator against a from-scratch sum at the end.
 func FuzzTrackerMatchesScratch(f *testing.F) {
 	f.Add([]byte{0, 9, 3, 1, 27, 17, 7, 0, 0, 2, 36, 30, 7, 1, 0, 3, 9, 19})
 	f.Add([]byte{5, 1, 2, 0, 12, 4, 6, 77, 3, 4, 40, 31, 7, 0, 0, 1, 12, 20, 7, 1, 1, 0, 12, 4})
@@ -26,8 +26,9 @@ func FuzzTrackerMatchesScratch(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := make(cellModel, x.Cfg.Cells())
 		var snap Snapshot
-		saved := false
+		var saved cellModel
 		for n := 0; len(ops) >= 3 && n < 200; n++ {
 			op, a, b := ops[0], ops[1], ops[2]
 			ops = ops[3:]
@@ -37,27 +38,24 @@ func FuzzTrackerMatchesScratch(f *testing.F) {
 				for i := range data {
 					data[i] = a*byte(i) ^ b
 				}
-				if err := x.WriteBlock(data); err != nil {
-					t.Fatal(err)
-				}
-				saved = false
+				writeBlock(t, x, m, data)
+				saved = nil
 			case 6:
 				rng := rand.New(rand.NewSource(int64(a)<<8 | int64(b)))
-				if err := x.SetLevels(randomLevels(rng, x.Cfg.Cells())); err != nil {
-					t.Fatal(err)
-				}
-				saved = false
+				setLevels(t, x, m, randomLevels(rng, x.Cfg.Cells()))
+				saved = nil
 			case 7:
 				if a&1 == 0 {
 					x.Save(&snap)
-					saved = true
-				} else if saved {
+					saved = slices.Clone(m)
+				} else if saved != nil {
 					x.Rewind(&snap)
+					copy(m, saved)
 				}
 			default:
-				applyPulse(t, x, cal, x.Cfg.CellAt(int(a)%x.Cfg.Cells()), int(b)%device.NumPulses)
+				applyPulse(t, x, cal, m, x.Cfg.CellAt(int(a)%x.Cfg.Cells()), int(b)%device.NumPulses)
 			}
-			checkTracker(t, x, cal)
+			checkTracker(t, x, cal, m)
 		}
 		syncAll(t, x, cal)
 	})
@@ -93,20 +91,22 @@ func TestTrackerSlotsConcurrentFirstTouch(t *testing.T) {
 				errs[g] = err
 				return
 			}
+			m := make(cellModel, x.Cfg.Cells())
 			data := make([]byte, x.BlockBytes())
 			rng.Read(data)
 			if err := x.WriteBlock(data); err != nil {
 				errs[g] = err
 				return
 			}
+			m.write(data)
 			order := rng.Perm(len(poes))
 			for round := 0; round < 3; round++ {
 				for _, p := range order {
-					if err := pulseErr(x, cal, poes[p], rng.Intn(device.NumPulses)); err != nil {
+					if err := pulseErr(x, cal, m, poes[p], rng.Intn(device.NumPulses)); err != nil {
 						errs[g] = err
 						return
 					}
-					if err := trackerErr(x, cal); err != nil {
+					if err := trackerErr(x, cal, m); err != nil {
 						errs[g] = err
 						return
 					}
@@ -164,24 +164,21 @@ func TestInverseTrainReusesPermutations(t *testing.T) {
 			t.Fatal(err)
 		}
 		cal := Calibrate(x)
+		m := make(cellModel, cfg.Cells())
 		poes := []Cell{{0, 0}, {2, 4}, {5, 1}, {7, 7}, {3, 3}, {6, 2}, {1, 6}, {4, 5}}
 		data := make([]byte, x.BlockBytes())
 		for round := 0; round < 8; round++ {
 			rng.Read(data)
-			if err := x.WriteBlock(data); err != nil {
-				t.Fatal(err)
-			}
+			writeBlock(t, x, m, data)
 			classes := make([]int, len(poes))
 			for k, poe := range poes {
 				classes[k] = rng.Intn(device.NumPulses)
-				applyPulse(t, x, cal, poe, classes[k])
+				applyPulse(t, x, cal, m, poe, classes[k])
 			}
 			overwrite := round%2 == 1
 			if overwrite {
 				rng.Read(data)
-				if err := x.WriteBlock(data); err != nil {
-					t.Fatal(err)
-				}
+				writeBlock(t, x, m, data)
 			}
 			for k := len(poes) - 1; k >= 0; k-- {
 				pc := &cal.poes[cal.poeIndex(poes[k])]
@@ -200,9 +197,9 @@ func TestInverseTrainReusesPermutations(t *testing.T) {
 					t.Fatalf("%dx%d round %d: inverse pulse at %+v after a WriteBlock: sync left memo tag %#x, want %#x (invalidated)",
 						cfg.Rows, cfg.Cols, round, poes[k], tag, memoTouched)
 				}
-				applyPulse(t, x, cal, poes[k], InverseClass(classes[k]))
+				applyPulse(t, x, cal, m, poes[k], InverseClass(classes[k]))
 			}
-			checkTracker(t, x, cal)
+			checkTracker(t, x, cal, m)
 		}
 	}
 }
@@ -218,17 +215,16 @@ func TestTrackerFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		cal := Calibrate(x)
+		m := make(cellModel, x.Cfg.Cells())
 		data := make([]byte, x.BlockBytes())
 		rand.New(rand.NewSource(int64(size))).Read(data)
-		if err := x.WriteBlock(data); err != nil {
-			t.Fatal(err)
-		}
+		writeBlock(t, x, m, data)
 		var poes []Cell
 		for i := 0; i < x.Cfg.Cells(); i += 5 {
 			poes = append(poes, x.Cfg.CellAt(i))
 		}
 		for k, poe := range poes {
-			applyPulse(t, x, cal, poe, k%device.NumPulses)
+			applyPulse(t, x, cal, m, poe, k%device.NumPulses)
 		}
 		sumS := 0
 		for _, poe := range poes {

@@ -46,7 +46,7 @@ func (x *Crossbar) TransientPulse(poe Cell, v float64, width float64, steps int)
 	n := x.Cfg.Cells()
 	states := make([]float64, n)
 	for i := range states {
-		states[i] = device.LevelCenter(x.levels[i])
+		states[i] = device.LevelCenter(x.level(i))
 	}
 	res := &TransientResult{
 		States:     states,
