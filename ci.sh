@@ -5,6 +5,9 @@
 set -eux
 
 go build ./...
+# gofmt gate: every Go file of the module's packages and of the benchmark
+# must be formatted.
+test -z "$(gofmt -l $(go list -f '{{.Dir}}' ./...) perfbench)"
 go vet ./...
 go vet -tags telemetry_debug ./...
 go test ./...
@@ -82,17 +85,18 @@ go run ./cmd/benchjson -diff BENCH_specu.json "$tmpdir/batch_matrix.json" \
 	-max-regress 500 -max-allocs-regress 25
 
 # The same gate on the single-op paths: a synchronous Parallel read (the
-# read-through), an overwrite of ciphertext, the 8x8 read-through and
+# read-through), an overwrite of ciphertext, a Serial flush of read-decrypted
+# blocks (the restore, zero allocations), the 8x8 read-through and
 # overwrite pulses on their own (the ApplyPulse rung, zero allocations on
 # both the memoized path and the dense recompute) and the key schedule at
 # 16 and 37 PoEs (the DeriveSchedule rung, zero allocations), each at the
 # archive's own -benchtime so warm-up allocations amortize over the same
 # op count.
-( go test ./internal/core -run xxx -bench 'BenchmarkSPECU(SequentialRead|EncryptTelemetryOff)' \
+( go test ./internal/core -run xxx -bench 'BenchmarkSPECU(SequentialRead|EncryptTelemetryOff|Flush)' \
 	-benchtime 20x -benchmem ; \
   go test ./internal/xbar -run xxx -bench 'BenchmarkApplyPulse/(readthrough|overwrite)/8x8$' -benchmem ; \
   go test ./internal/prng -run xxx -bench 'BenchmarkDeriveSchedule' -benchmem ) \
-	| go run ./cmd/benchjson -require 6 -o "$tmpdir/single_op.json"
+	| go run ./cmd/benchjson -require 7 -o "$tmpdir/single_op.json"
 go run ./cmd/benchjson -diff BENCH_specu.json "$tmpdir/single_op.json" \
 	-max-regress 500 -max-allocs-regress 25
 

@@ -133,6 +133,12 @@ type Block struct {
 	// schedEpoch is the SPECU key epoch scheds were derived under, or 0
 	// when an explicit key derived them; see loadScheds.
 	schedEpoch uint64
+	// ct holds the packed levels of every crossbar, in crossbar order, as
+	// the block's last in-place decrypt under a SPECU key found them: the
+	// ciphertext it decrypted. ctEpoch is that decrypt's schedEpoch while
+	// the block has not changed since, 0 otherwise; see cryptLoaded.
+	ct      []uint64
+	ctEpoch uint64
 }
 
 // NewBlock fabricates the crossbars of one block. seed individualizes the
@@ -177,9 +183,11 @@ func (b *Block) WritePlain(data []byte) error {
 // program is the write phase on any block: it reprograms every cell with
 // data, so whatever the block held — plaintext or stale ciphertext — is
 // replaced, and the block holds plaintext afterwards. Overwriting
-// ciphertext this way leaves the cells, and the crossbar trackers (which
-// WriteBlock invalidates), exactly as decrypting first would; only the
-// decrypt's wear is missing, because the hardware never applies it.
+// ciphertext this way leaves the cells, and the crossbar trackers (whose
+// memos the changed cells invalidate), exactly as decrypting first would;
+// only the decrypt's wear is missing, because the hardware never applies
+// it. The saved ciphertext no longer matches the cells, so its tag is
+// cleared.
 func (b *Block) program(data []byte) error {
 	if len(data) != BlockSize {
 		return fmt.Errorf("core: WritePlain needs %d bytes, got %d", BlockSize, len(data))
@@ -191,6 +199,7 @@ func (b *Block) program(data []byte) error {
 		}
 	}
 	b.encrypted = false
+	b.ctEpoch = 0
 	return nil
 }
 
@@ -303,6 +312,16 @@ func (b *Block) crypt(key prng.Key, tweak uint64, decrypt bool, tc trace.Context
 // parallelism is the coalesced shard run above it, so a block is one
 // serial unit of work here. The caller must hold the block's shard lock
 // when the block is shared.
+//
+// A decrypt under a SPECU key first saves the ciphertext into b.ct and,
+// on success, tags it with the key epoch. An encrypt that finds the tag
+// equal to its schedules' epoch — nothing changed the block since that
+// decrypt, and the schedules are the ones it ran — restores the saved
+// words instead of pulsing (restorable): the forward train undoes the
+// inverse train pulse by pulse, so it would rebuild them bit for bit, and
+// every full train charges the same wear whatever the key or data
+// (xbar.Crossbar.RestoreTrain). Any crypt clears the tag before it
+// changes a cell, so an explicit-key crypt leaves none behind.
 func (b *Block) cryptLoaded(decrypt bool, tc trace.Context) error {
 	if decrypt && !b.encrypted {
 		return fmt.Errorf("core: block not encrypted")
@@ -310,16 +329,51 @@ func (b *Block) cryptLoaded(decrypt bool, tc trace.Context) error {
 	if !decrypt && b.encrypted {
 		return fmt.Errorf("core: block already encrypted")
 	}
-	for i := range b.xbs {
+	restore := !decrypt && b.restorable()
+	b.ctEpoch = 0
+	if decrypt && b.schedEpoch != 0 {
+		b.saveCiphertext()
+	}
+	ct := b.ct
+	for i, xb := range b.xbs {
 		xsp := tc.Start(traceMetaPulseTrain)
-		err := b.cryptXbar(i, decrypt)
+		var err error
+		if restore {
+			var n int
+			n, err = xb.RestoreTrain(b.cals[i], b.eng.Placement, ct)
+			ct = ct[n:]
+		} else {
+			err = b.cryptXbar(i, decrypt)
+		}
 		xsp.End(int64(len(b.eng.Placement)), int64(i))
 		if err != nil {
 			return err
 		}
 	}
 	b.encrypted = !decrypt
+	if decrypt {
+		b.ctEpoch = b.schedEpoch
+	}
 	return nil
+}
+
+// restorable reports whether an encrypt with the loaded schedules can
+// restore the ciphertext the block's last decrypt saved (see cryptLoaded).
+func (b *Block) restorable() bool {
+	return b.ctEpoch != 0 && b.ctEpoch == b.schedEpoch
+}
+
+// saveCiphertext copies the packed levels of every crossbar into b.ct,
+// allocating it on first use: one packed word holds 32 cells, 8 data
+// bytes.
+func (b *Block) saveCiphertext() {
+	if b.ct == nil {
+		b.ct = make([]uint64, 0, len(b.xbs)*((b.bytesPerXbar()+7)/8))
+	}
+	b.ct = b.ct[:0]
+	for _, xb := range b.xbs {
+		b.ct = xb.AppendPacked(b.ct)
+	}
 }
 
 // readThrough is the SPE-parallel read of an encrypted block under an

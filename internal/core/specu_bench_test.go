@@ -159,6 +159,42 @@ func BenchmarkSPECUEncryptBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkSPECUFlush is the Serial flush rung: one op is one
+// EncryptPending over 256 blocks a read left decrypted, so every block
+// restores the ciphertext its read decrypted instead of pulsing. The
+// reads that decrypt the blocks run with the timer stopped.
+func BenchmarkSPECUFlush(b *testing.B) {
+	eng, err := sharedEngine()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewSPECU(eng, Serial)
+	if err := s.PowerOn(prng.NewKey(0xF1, 0x5E)); err != nil {
+		b.Fatal(err)
+	}
+	addrs := make([]uint64, 256)
+	for i := range addrs {
+		addrs[i] = uint64(i) * BlockSize
+		if err := s.Write(addrs[i], batchPayload(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for _, a := range addrs {
+			if _, err := s.Read(a); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if err := s.EncryptPending(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N*len(addrs))/b.Elapsed().Seconds(), "blocks/s")
+}
+
 // BenchmarkHelperSpawn is what one helper adds to a coalesced batch on
 // top of its shard runs: take a budget token, start a goroutine that gives
 // it back, and join it. EXPERIMENTS.md sets it against the batch benches.

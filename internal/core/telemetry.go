@@ -57,6 +57,9 @@ type specuTel struct {
 	// reused the ones derived earlier in the same key epoch.
 	schedDerived *telemetry.Counter
 	schedReused  *telemetry.Counter
+	// Block encrypts that restored the ciphertext their block's last
+	// decrypt saved instead of pulsing (Block.cryptLoaded).
+	encryptRestored *telemetry.Counter
 
 	plaintext *telemetry.Gauge // blocks currently resident as plaintext
 	blocks    *telemetry.Gauge // blocks ever fabricated and resident
@@ -133,15 +136,16 @@ func (s *SPECU) EnableTelemetry(reg *telemetry.Registry) {
 		return
 	}
 	t := &specuTel{
-		reg:          reg,
-		reads:        reg.Counter("specu.reads"),
-		writes:       reg.Counter("specu.writes"),
-		steals:       reg.Counter("specu.steals"),
-		schedDerived: reg.Counter("specu.sched_derived"),
-		schedReused:  reg.Counter("specu.sched_reused"),
-		plaintext:    reg.Gauge("specu.plaintext_blocks"),
-		blocks:       reg.Gauge("specu.blocks"),
-		scope:        reg.Recorder().Scope("specu"),
+		reg:             reg,
+		reads:           reg.Counter("specu.reads"),
+		writes:          reg.Counter("specu.writes"),
+		steals:          reg.Counter("specu.steals"),
+		schedDerived:    reg.Counter("specu.sched_derived"),
+		schedReused:     reg.Counter("specu.sched_reused"),
+		encryptRestored: reg.Counter("specu.encrypt_restored"),
+		plaintext:       reg.Gauge("specu.plaintext_blocks"),
+		blocks:          reg.Gauge("specu.blocks"),
+		scope:           reg.Recorder().Scope("specu"),
 	}
 	for i := 0; i < NumShards; i++ {
 		t.read[i] = reg.Histogram(fmt.Sprintf("specu.shard%02d.read", i))
@@ -233,6 +237,7 @@ func (s *SPECU) blockCrypt(si int, b *Block, key loadedKey, addr uint64, decrypt
 	t := s.tel.Load()
 	start := t.now()
 	t.countScheds(b.loadScheds(key.key, addr, key.epoch))
+	restore := !decrypt && b.restorable()
 	err := b.cryptLoaded(decrypt, csp.Context())
 	csp.End(int64(len(b.xbs)), 0)
 	t.observeCrypt(si, decrypt, start)
@@ -241,6 +246,9 @@ func (s *SPECU) blockCrypt(si int, b *Block, key loadedKey, addr uint64, decrypt
 			t.addPlaintext(1)
 		} else {
 			t.addPlaintext(-1)
+		}
+		if restore && t != nil {
+			t.encryptRestored.Inc()
 		}
 	}
 	return err

@@ -37,13 +37,13 @@ type SideChannelConfig struct {
 
 // SideChannelReport is the distinguisher's verdict on one driver.
 type SideChannelReport struct {
-	Driver         string  `json:"driver"`          // "balanced" or "raw"
+	Driver         string  `json:"driver"` // "balanced" or "raw"
 	TracesPerGroup int     `json:"traces_per_group"`
-	SamplePoints   int     `json:"sample_points"`   // per-trace feature count
-	MinP           float64 `json:"min_p"`           // smallest per-point Welch p
-	CorrectedP     float64 `json:"corrected_p"`     // Bonferroni-corrected
+	SamplePoints   int     `json:"sample_points"` // per-trace feature count
+	MinP           float64 `json:"min_p"`         // smallest per-point Welch p
+	CorrectedP     float64 `json:"corrected_p"`   // Bonferroni-corrected
 	Alpha          float64 `json:"alpha"`
-	Leaks          bool    `json:"leaks"`           // CorrectedP < Alpha
+	Leaks          bool    `json:"leaks"` // CorrectedP < Alpha
 }
 
 // DriverName names a trace mode for reports.

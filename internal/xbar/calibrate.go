@@ -33,10 +33,10 @@ import (
 // grid 2^-devWeightBits (the comparator bank that reads them out has finite
 // resolution anyway). With (x_m - 0.5) = (2*level - 3)/8, every deviation
 // is then an exact int64 sum of weight*(2*level-3) terms — an
-// order-independent quantity that an incremental accumulator can maintain
-// under single-cell updates with bit-for-bit agreement against a
-// from-scratch recompute. Invertibility depends on that exactness; see
-// TestIncrementalDeviationsMatchScratch.
+// order-independent quantity, so any two summations at the same levels
+// agree bit for bit and a permutation choice memoized at some levels
+// (devTracker) is the one a recompute there would make. Invertibility
+// depends on that exactness; see TestIncrementalDeviationsMatchScratch.
 //
 // A Calibration is safe for concurrent readers: per-PoE records are built
 // lazily under a per-PoE sync.Once, so concurrent pipeline workers
@@ -47,7 +47,7 @@ type Calibration struct {
 	xb  *Crossbar // reference crossbar used for solves (nominal state)
 
 	poes  []poeCal      // per PoE (linear cell index)
-	slots atomic.Uint64 // tracker slots handed out to built PoEs (high half) and their ΣS (low half)
+	slots atomic.Uint64 // tracker slots handed out to built PoEs (high half) and their Σ(S+1) memo bytes (low half)
 
 	sk calSketch // shared device sketch (sketch path only), built lazily
 }
@@ -65,25 +65,21 @@ type poeCal struct {
 	done    atomic.Bool
 
 	slot     int // dense index of this PoE's state in a crossbar's tracker
-	accOff   int // offset of its accumulator: ΣS over the lower slots
+	memoOff  int // offset of its permutation memo: Σ(S+1) over the lower slots
 	shape    []Cell
 	shapeIdx []int32 // linear index of each shape cell
 	inShape  []bool
 	base     []float64
 
 	// Quantized sensitivity kernel: compIdx lists the complement cells
-	// (ascending) that any shape cell is sensitive to; compPos inverts it
-	// (cell index -> position in compIdx, or -1); wT holds the int64
+	// (ascending) that any shape cell is sensitive to; wT holds the int64
 	// weights complement-major (wT[j*S+k] is the weight of complement
 	// cell compIdx[j] at shape cell k, S shape cells), so one complement
 	// cell's weights are one contiguous stripe; compMask marks the compIdx
-	// cells in the crossbar's packed-level layout; acc0 is the deviation
-	// sums at the all-level-0 state.
+	// cells in the crossbar's packed-level layout.
 	compIdx  []int32
-	compPos  []int32
 	wT       []int64
 	compMask []uint64
-	acc0     []int64
 
 	edges [][2]float64
 }
@@ -92,7 +88,7 @@ type poeCal struct {
 // weights: weights are integer multiples of 2^-devWeightBits.
 const devWeightBits = 40
 
-// devInvScale converts an int64 deviation accumulator to volts: the weight
+// devInvScale converts an int64 deviation sum to volts: the weight
 // grid contributes 2^-devWeightBits and the level term (2l-3)/8 another
 // 2^-3.
 const devInvScale = 0x1p-43
@@ -123,7 +119,7 @@ const calSamples = 512
 
 // ensure computes the calibration record for one PoE, exactly once even
 // under concurrent first touch, and hands a built record the next dense
-// tracker slot and accumulator offset. done is stored once, by the build:
+// tracker slot and memo offset. done is stored once, by the build:
 // the pulse path calls ensure per pulse from every helper, and a store
 // there would bounce the record's cache line between cores.
 func (c *Calibration) ensure(poe Cell) error {
@@ -144,24 +140,24 @@ func (c *Calibration) ensure(poe Cell) error {
 	}
 	pc.once.Do(func() {
 		if pc.err = c.build(poe, pc); pc.err == nil {
-			pc.slot, pc.accOff = c.handOut(len(pc.shape))
+			pc.slot, pc.memoOff = c.handOut(1 + len(pc.shape))
 		}
 		pc.done.Store(true)
 	})
 	return pc.err
 }
 
-// handOut takes the next tracker slot and the next s accumulator entries
-// in one atomic step, so a slot's offset is always ΣS over the slots below
-// it and a tracker sized from slotsOut covers every PoE handed out before.
-func (c *Calibration) handOut(s int) (slot, accOff int) {
-	v := c.slots.Add(1<<32|uint64(s)) - (1<<32 | uint64(s))
+// handOut takes the next tracker slot and the next n memo bytes in one
+// atomic step, so a slot's offset is always Σ(S+1) over the slots below it
+// and a tracker sized from slotsOut covers every PoE handed out before.
+func (c *Calibration) handOut(n int) (slot, memoOff int) {
+	v := c.slots.Add(1<<32|uint64(n)) - (1<<32 | uint64(n))
 	return int(v >> 32), int(uint32(v))
 }
 
-// slotsOut returns how many tracker slots have been handed out and the ΣS
-// of their accumulators.
-func (c *Calibration) slotsOut() (nslots, accLen int) {
+// slotsOut returns how many tracker slots have been handed out and the
+// Σ(S+1) bytes of their memos.
+func (c *Calibration) slotsOut() (nslots, memoLen int) {
 	v := c.slots.Load()
 	return int(v >> 32), int(uint32(v))
 }
@@ -196,8 +192,6 @@ func (c *Calibration) build(poe Cell, pc *poeCal) error {
 	for k, cell := range pc.shape {
 		pc.shapeIdx[k] = int32(cell.Row*c.cfg.Cols + cell.Col)
 	}
-	pc.acc0 = make([]int64, len(pc.shape))
-	pc.dense(pc.acc0, make([]uint64, (c.cfg.Cells()+31)/32))
 	pc.compMask = make([]uint64, (c.cfg.Cells()+31)/32)
 	for _, m := range pc.compIdx {
 		pc.compMask[m>>5] |= 3 << (uint(m&31) * 2)
@@ -305,7 +299,7 @@ func (c *Calibration) buildDense(poe Cell, pc *poeCal) error {
 			wdense[k][m] = wq
 		}
 	}
-	compIdx, compPos, wT := flattenSensitivities(cells, inShape, wdense)
+	compIdx, wT := flattenSensitivities(cells, inShape, wdense)
 	// Place band edges so the three strength classes are balanced over
 	// random data. The sampling is seeded from the reference crossbar's
 	// seed so the calibration is a pure function of the fabrication
@@ -334,7 +328,6 @@ func (c *Calibration) buildDense(poe Cell, pc *poeCal) error {
 	pc.inShape = inShape
 	pc.base = base
 	pc.compIdx = compIdx
-	pc.compPos = compPos
 	pc.wT = wT
 	pc.edges = edges
 	return nil
@@ -342,22 +335,16 @@ func (c *Calibration) buildDense(poe Cell, pc *poeCal) error {
 
 // flattenSensitivities compacts a dense per-shape-cell weight table into
 // the calibration's sparse layout: complement cells that at least one shape
-// cell is sensitive to, in ascending order (compIdx), the inverse map
-// (compPos, -1 where absent), and the weights complement-major along
-// compIdx (wT). Shared by both build paths so the record layout is
-// identical regardless of how the weights were computed.
-func flattenSensitivities(cells int, inShape []bool, wdense [][]int64) (compIdx, compPos []int32, wT []int64) {
-	compPos = make([]int32, cells)
-	for i := range compPos {
-		compPos[i] = -1
-	}
+// cell is sensitive to, in ascending order (compIdx), and the weights
+// complement-major along compIdx (wT). Shared by both build paths so the
+// record layout is identical regardless of how the weights were computed.
+func flattenSensitivities(cells int, inShape []bool, wdense [][]int64) (compIdx []int32, wT []int64) {
 	for m := 0; m < cells; m++ {
 		if inShape[m] {
 			continue
 		}
 		for k := range wdense {
 			if wdense[k][m] != 0 {
-				compPos[m] = int32(len(compIdx))
 				compIdx = append(compIdx, int32(m))
 				break
 			}
@@ -370,7 +357,7 @@ func flattenSensitivities(cells int, inShape []bool, wdense [][]int64) (compIdx,
 			wT[j*s+k] = wdense[k][m]
 		}
 	}
-	return compIdx, compPos, wT
+	return compIdx, wT
 }
 
 // Shape returns the calibrated polyomino for a PoE.
@@ -381,15 +368,15 @@ func (c *Calibration) Shape(poe Cell) ([]Cell, error) {
 	return c.poes[c.cfg.Index(poe)].shape, nil
 }
 
-// dense recomputes, per shape cell, the exact integer deviation
-// accumulator Σ_j wT[j·S+k]·(2·level−3) from scratch at the packed levels
-// words. It walks compIdx four complement cells per pass: it reads their
-// level coordinates from the packed words into registers and adds
+// dense computes, per shape cell, the exact integer deviation sum
+// Σ_j wT[j·S+k]·(2·level−3) into acc at the packed levels words. It walks
+// compIdx four complement cells per pass: it reads their level
+// coordinates from the packed words into registers and adds
 // w0·q0+w1·q1+w2·q2+w3·q3 along their four weight stripes, so it needs
-// no gather buffer and loads and stores each accumulator once per four
-// cells. Integer addition is associative (wrapping included), so the sums
-// agree bit-for-bit with any other summation order and with incremental
-// maintenance of the same quantity — the property decryption relies on.
+// no gather buffer and loads and stores each sum once per four cells.
+// Integer addition is associative (wrapping included), so the sums agree
+// bit-for-bit with any other summation order — the property decryption
+// relies on.
 func (pc *poeCal) dense(acc []int64, words []uint64) {
 	s, idx := len(acc), pc.compIdx
 	clear(acc)
@@ -417,10 +404,10 @@ func wordQ(words []uint64, m int32) int64 {
 	return 2*int64(words[m>>5]>>(uint(m&31)*2)&3) - 3
 }
 
-// sums returns the PoE's calibration record and its deviation
-// accumulators at the given per-cell levels: the levels are packed once
-// and summed by the dense kernel the tracker recomputes with. what names
-// the caller in errors.
+// sums returns the PoE's calibration record and its deviation sums at the
+// given per-cell levels: the levels are packed once and summed by the
+// dense kernel the tracker recomputes with. what names the caller in
+// errors.
 func (c *Calibration) sums(levels []int, poe Cell, what string) (*poeCal, []int64, error) {
 	if err := c.ensure(poe); err != nil {
 		return nil, nil, err
@@ -460,8 +447,7 @@ func (c *Calibration) Strengths(levels []int, poe Cell) ([]int, error) {
 }
 
 // mixer derives the mixing word of shape cell k of the PoE with linear
-// index pi from its deviation accumulator entry d (scratch or incremental
-// — they are bit-identical).
+// index pi from its deviation sum d.
 func (pc *poeCal) mixer(pi, k int, d int64) uint64 {
 	v := pc.base[k] + float64(d)*devInvScale
 	return splitmix64(math.Float64bits(v) ^ uint64(pi)<<32 ^ uint64(k))

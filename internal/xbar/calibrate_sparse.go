@@ -22,7 +22,7 @@ import (
 
 // defaultTruncationTol is the bit-exactness tolerance: half the 2^-40
 // fixed-point weight quantum. A weight below it quantizes to zero, so
-// truncating the cell cannot change any deviation accumulator bit.
+// truncating the cell cannot change any deviation sum bit.
 const defaultTruncationTol = 0x1p-41
 
 // tertileZ is the standard normal z with Phi(z) = 2/3 — the analytic
@@ -284,15 +284,15 @@ func (c *Calibration) buildSketch(poe Cell, pc *poeCal) error {
 		t.cellsVisited.Add(int64(visited))
 		t.cellsSkipped.Add(int64(cells - len(shape) - visited))
 	}
-	var compIdx, compPos []int32
+	var compIdx []int32
 	var wT []int64
 	if hier {
-		compIdx, compPos, wT = flattenSensitivitiesWindowed(cells, inShape, window, wdense)
+		compIdx, wT = flattenSensitivitiesWindowed(inShape, window, wdense)
 	} else {
-		compIdx, compPos, wT = flattenSensitivities(cells, inShape, wdense)
+		compIdx, wT = flattenSensitivities(cells, inShape, wdense)
 	}
 	// Band edges from the CLT instead of the legacy 512-sample Monte Carlo:
-	// over uniform random data the deviation accumulator is a sum of
+	// over uniform random data the deviation sum is a sum of
 	// independent w*q terms with q uniform on {-3,-1,1,3} (zero mean,
 	// E[q^2] = 5), so its tertiles sit at ±z·sigma with Phi(z) = 2/3. At
 	// 32x32 the sampling alternative would cost ~cells draws per sample per
@@ -315,7 +315,6 @@ func (c *Calibration) buildSketch(poe Cell, pc *poeCal) error {
 	pc.inShape = inShape
 	pc.base = base
 	pc.compIdx = compIdx
-	pc.compPos = compPos
 	pc.wT = wT
 	pc.edges = edges
 	return nil

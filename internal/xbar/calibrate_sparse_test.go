@@ -3,6 +3,7 @@ package xbar
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"snvmm/internal/device"
@@ -182,13 +183,13 @@ func TestTruncationRadiusKeepsExactWeights(t *testing.T) {
 		if chebDist(cfgCap.CellAt(int(m)), poe) > 5 {
 			t.Fatalf("kept cell %d outside the radius cap", m)
 		}
-		jf := pcF.compPos[m]
+		jf := slices.Index(pcF.compIdx, m)
 		if jf < 0 {
 			t.Fatalf("kept cell %d missing from full sweep", m)
 		}
 		for k := range pcC.shape {
-			if weight(pcC, k, j) != weight(pcF, k, int(jf)) {
-				t.Fatalf("cell %d shape %d: capped %d vs full %d", m, k, weight(pcC, k, j), weight(pcF, k, int(jf)))
+			if weight(pcC, k, j) != weight(pcF, k, jf) {
+				t.Fatalf("cell %d shape %d: capped %d vs full %d", m, k, weight(pcC, k, j), weight(pcF, k, jf))
 			}
 		}
 	}

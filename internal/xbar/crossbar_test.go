@@ -344,8 +344,7 @@ func TestTransientSubThresholdNoDrift(t *testing.T) {
 // ReadBlock returns what WriteBlock wrote, and after every WriteBlock,
 // ApplyPulse, Rewind and SetLevels the levels equal the per-cell model and
 // the packed words are its reference packing (checkTracker), so the padding
-// bits past the last cell stay zero — pending and cellBits would count a
-// nonzero field there as a changed complement cell.
+// bits past the last cell stay zero.
 func TestBlockIOWordWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, size := range []int{5, 6, 12} {

@@ -261,13 +261,9 @@ func (scr *hierScratch) weightSlab(rows, width int) [][]int64 {
 
 // flattenSensitivitiesWindowed is flattenSensitivities for a window-indexed
 // weight table: wwin[k] is aligned with window, and only window cells can
-// carry weight. The output layout is identical (ascending compIdx,
-// cells-length compPos) so every calibration consumer is path-agnostic.
-func flattenSensitivitiesWindowed(cells int, inShape []bool, window []int32, wwin [][]int64) (compIdx, compPos []int32, wT []int64) {
-	compPos = make([]int32, cells)
-	for i := range compPos {
-		compPos[i] = -1
-	}
+// carry weight. The output layout is identical (ascending compIdx) so
+// every calibration consumer is path-agnostic.
+func flattenSensitivitiesWindowed(inShape []bool, window []int32, wwin [][]int64) (compIdx []int32, wT []int64) {
 	keep := make([]int32, 0, len(window)) // window positions kept, ascending
 	for p, m := range window {
 		if inShape[m] {
@@ -275,7 +271,6 @@ func flattenSensitivitiesWindowed(cells int, inShape []bool, window []int32, wwi
 		}
 		for k := range wwin {
 			if wwin[k][p] != 0 {
-				compPos[m] = int32(len(compIdx))
 				compIdx = append(compIdx, m)
 				keep = append(keep, int32(p))
 				break
@@ -289,5 +284,5 @@ func flattenSensitivitiesWindowed(cells int, inShape []bool, window []int32, wwi
 			wT[j*s+k] = wwin[k][p]
 		}
 	}
-	return compIdx, compPos, wT
+	return compIdx, wT
 }

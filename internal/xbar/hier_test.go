@@ -3,6 +3,7 @@ package xbar
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -136,13 +137,13 @@ func TestHierTruncationKeepsExactWeights(t *testing.T) {
 		if chebDist(cfgNarrow.CellAt(int(m)), poe) > 4 {
 			t.Fatalf("kept cell %d outside the radius cap", m)
 		}
-		jw := pcW.compPos[m]
+		jw := slices.Index(pcW.compIdx, m)
 		if jw < 0 {
 			t.Fatalf("kept cell %d missing from wide sweep", m)
 		}
 		for k := range pcN.shape {
-			if weight(pcN, k, j) != weight(pcW, k, int(jw)) {
-				t.Fatalf("cell %d shape %d: narrow %d vs wide %d", m, k, weight(pcN, k, j), weight(pcW, k, int(jw)))
+			if weight(pcN, k, j) != weight(pcW, k, jw) {
+				t.Fatalf("cell %d shape %d: narrow %d vs wide %d", m, k, weight(pcN, k, j), weight(pcW, k, jw))
 			}
 		}
 	}

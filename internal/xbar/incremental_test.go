@@ -14,14 +14,14 @@ import (
 // TestIncrementalDeviationsMatchScratch drives a long random mix of pulses,
 // block writes, SetLevels and Save/Rewind at 8x8 and 16x16 and, after every
 // step, checks the tracker invariant (checkTracker): the crossbar's levels
-// equal the test's own per-cell model of them, and every live accumulator
-// equals a from-scratch reference sum at the levels it was last synced to.
-// Every pulse must also have read the exact sums of the levels it found
-// (pulseErr), and every few steps all live PoEs are synced and checked
-// against the current levels too. Decryption correctness rests on this
-// exactness: if the diff and a recompute could disagree in even one ULP,
-// the mixer words — and therefore the level permutations — would diverge
-// between encrypt and decrypt.
+// equal the test's own per-cell model of them, and every memo holds the
+// permutation indices of the from-scratch reference sums at the levels it
+// was derived at. Every pulse must also have used the indices of the exact
+// sums of the levels it found (pulseErr), and every few steps all live
+// PoEs are looked up and checked against the current levels too.
+// Decryption correctness rests on this exactness: if a reused memo and a
+// recompute could disagree, the level permutations would diverge between
+// encrypt and decrypt.
 func TestIncrementalDeviationsMatchScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, cfg := range []Config{DefaultConfig(), sizedConfig(16, 16)} {
@@ -55,20 +55,20 @@ func TestIncrementalDeviationsMatchScratch(t *testing.T) {
 			}
 			checkTracker(t, xb, cal, m)
 			if step%7 == 0 {
-				syncAll(t, xb, cal)
+				lookupAll(t, xb, cal)
 			}
 		}
-		syncAll(t, xb, cal)
+		lookupAll(t, xb, cal)
 	}
 }
 
 // TestDenseKernelMatchesReference checks the dense kernel (poeCal.dense)
-// and the first-touch sums against the reference double loop, for every
-// PoE of the paper's 8x8 device, of a 16x16 sketch calibration and of 6x6
-// and 12x12 devices, on seeded random packed states. At 6x6 and 12x12 the
-// cell count is not a multiple of 32, so the last packed word is partial,
-// and some PoEs' complements are not a multiple of the kernel's four cells
-// per pass, so its tail loop runs too. The padding bits of the random
+// against the reference double loop, for every PoE of the paper's 8x8
+// device, of a 16x16 sketch calibration and of 6x6 and 12x12 devices, on
+// seeded random packed states. At 6x6 and 12x12 the cell count is not a
+// multiple of 32, so the last packed word is partial, and some PoEs'
+// complements are not a multiple of the kernel's four cells per pass, so
+// its tail loop runs too. The padding bits of the random
 // words are zero, as the crossbar keeps them.
 func TestDenseKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -88,9 +88,6 @@ func TestDenseKernelMatchesReference(t *testing.T) {
 			pc := &c.poes[pi]
 			if len(pc.compIdx)%4 != 0 {
 				tails++
-			}
-			if !slices.Equal(pc.acc0, deviationsRef(pc, make([]int, cells))) {
-				t.Fatalf("%dx%d PoE %d: acc0 %v is not the all-level-0 sum", cfg.Rows, cfg.Cols, pi, pc.acc0)
 			}
 			got := make([]int64, len(pc.shape))
 			for trial := 0; trial < 4; trial++ {
@@ -190,8 +187,8 @@ func setLevels(t testing.TB, x *Crossbar, m cellModel, levels []int) {
 	copy(m, levels)
 }
 
-// livePoEs returns the linear index of every PoE x's tracker has synced;
-// its state is trackedState(x, &cal.poes[pi]).
+// livePoEs returns the linear index of every PoE whose memo x's tracker
+// holds; its state is trackedState(x, &cal.poes[pi]).
 func livePoEs(x *Crossbar, cal *Calibration) []int {
 	if x.trk == nil || x.trk.cal != cal {
 		return nil
@@ -199,20 +196,20 @@ func livePoEs(x *Crossbar, cal *Calibration) []int {
 	var pis []int
 	for pi := range cal.poes {
 		pc := &cal.poes[pi]
-		if pc.done.Load() && pc.err == nil && pc.accOff+pc.slot < len(x.trk.memo) && x.trk.memo[pc.accOff+pc.slot] != 0 {
+		if pc.done.Load() && pc.err == nil && pc.memoOff < len(x.trk.memo) && x.trk.memo[pc.memoOff] != 0 {
 			pis = append(pis, pi)
 		}
 	}
 	return pis
 }
 
-// trackedState returns the slab entries of a PoE x's tracker has synced:
-// its accumulator, the packed words it is exact for, its memo tag and its
-// memoized permutation indices.
-func trackedState(x *Crossbar, pc *poeCal) (acc []int64, words []uint64, tag uint8, idx []uint8) {
-	t, s, nw := x.trk, len(pc.acc0), len(x.packed)
-	m := t.memo[pc.accOff+pc.slot : pc.accOff+pc.slot+1+s]
-	return t.acc[pc.accOff : pc.accOff+s], t.words[pc.slot*nw : (pc.slot+1)*nw], m[0], m[1:]
+// trackedState returns the slab entries x's tracker holds for a PoE: the
+// packed words its memo was derived at, its memo tag and its memoized
+// permutation indices.
+func trackedState(x *Crossbar, pc *poeCal) (words []uint64, tag uint8, idx []uint8) {
+	t, nw := x.trk, len(x.packed)
+	m := t.memo[pc.memoOff : pc.memoOff+1+len(pc.shape)]
+	return t.words[pc.slot*nw : (pc.slot+1)*nw], m[0], m[1:]
 }
 
 // applyPulse applies one pulse to x and its model m and fails t unless
@@ -225,42 +222,53 @@ func applyPulse(t testing.TB, x *Crossbar, cal *Calibration, m cellModel, poe Ce
 }
 
 // pulseErr applies one pulse to x and to its model m, and checks that the
-// accumulator the pulse read was exact for the levels it found (the
-// model's), so a sync that skipped a changed cell fails even though the
-// tracker invariant still holds, and that the pulse left its width's
-// permutation indices in the PoE's memo (memoErr).
+// pulse left its PoE's memo tagged with its width and holding the
+// permutation indices of the reference sums at the levels it found (the
+// model's), so a memo reused across a changed complement cell fails even
+// though the tracker invariant still holds, and that the memo is sound
+// (memoErr).
 func pulseErr(x *Crossbar, cal *Calibration, m cellModel, poe Cell, class int) error {
 	if err := x.ApplyPulse(cal, poe, class); err != nil {
 		return err
 	}
 	pi := cal.poeIndex(poe)
 	pc := &cal.poes[pi]
-	acc, _, tag, _ := trackedState(x, pc)
-	if want := deviationsRef(pc, m); !slices.Equal(acc, want) {
-		return fmt.Errorf("pulse at %+v read accumulator %v, reference at the levels it found %v", poe, acc, want)
+	width := class % device.NumWidths
+	_, tag, idx := trackedState(x, pc)
+	if want := refPerms(pc, pi, width, m); !slices.Equal(idx, want) {
+		return fmt.Errorf("pulse at %+v used permutation indices %v, reference at the levels it found %v", poe, idx, want)
 	}
 	m.pulse(cal, poe, class)
-	if want := memoTouched | uint8(class%device.NumWidths+1); tag != want {
+	if want := uint8(width + 1); tag != want {
 		return fmt.Errorf("pulse at %+v left memo tag %#x, want %#x", poe, tag, want)
 	}
 	return memoErr(x, pi, pc)
 }
 
-// memoErr checks a synced PoE's memo: when its tag names a width, the
-// memoized indices equal permIndex recomputed from the PoE's accumulator
-// under that width.
+// memoErr checks a PoE's memo: when its tag names a width, the memoized
+// indices equal permIndex recomputed under that width from the reference
+// sums at the packed words the memo was derived at.
 func memoErr(x *Crossbar, pi int, pc *poeCal) error {
-	acc, _, tag, idx := trackedState(x, pc)
-	if tag&^memoTouched == 0 {
+	words, tag, idx := trackedState(x, pc)
+	if tag == 0 {
 		return nil
 	}
-	width := int(tag&^memoTouched) - 1
-	for k, d := range acc {
-		if want := permIndex(width, pc.mixer(pi, k, d), int(pc.shapeIdx[k])); int(idx[k]) != want {
-			return fmt.Errorf("PoE slot %d width %d: memoized index %d of shape cell %d, recomputed %d", pc.slot, width, idx[k], k, want)
-		}
+	width := int(tag) - 1
+	if want := refPerms(pc, pi, width, unpackLevels(words, x.Cfg.Cells())); !slices.Equal(idx, want) {
+		return fmt.Errorf("PoE slot %d width %d: memoized indices %v, recomputed %v", pc.slot, width, idx, want)
 	}
 	return nil
+}
+
+// refPerms returns the permutation index of each shape cell of the PoE
+// calibrated by pc (linear index pi) for a pulse of the given width at the
+// per-cell levels, from the reference sums.
+func refPerms(pc *poeCal, pi, width int, levels []int) []uint8 {
+	out := make([]uint8, len(pc.shape))
+	for k, d := range deviationsRef(pc, levels) {
+		out[k] = uint8(permIndex(width, pc.mixer(pi, k, d), int(pc.shapeIdx[k])))
+	}
+	return out
 }
 
 // checkTracker fails t unless trackerErr finds x's tracker sound.
@@ -271,11 +279,10 @@ func checkTracker(t testing.TB, x *Crossbar, cal *Calibration, m cellModel) {
 	}
 }
 
-// trackerErr checks the tracker invariant without syncing anything: x's
-// levels equal its model m and its packed words are the reference packing
-// of them (so the padding bits past the last cell are zero), every live
-// accumulator equals the reference sum at the packed levels it was last
-// synced to, and every tagged memo matches its accumulator (memoErr).
+// trackerErr checks the tracker invariant without looking anything up:
+// x's levels equal its model m and its packed words are the reference
+// packing of them (so the padding bits past the last cell are zero), and
+// every held memo is sound (memoErr).
 func trackerErr(x *Crossbar, cal *Calibration, m cellModel) error {
 	if lv := x.Levels(); !slices.Equal(lv, m) {
 		return fmt.Errorf("levels %v do not match the per-cell model %v", lv, m)
@@ -284,34 +291,31 @@ func trackerErr(x *Crossbar, cal *Calibration, m cellModel) error {
 		return fmt.Errorf("packed words %x, want %x", x.packed, want)
 	}
 	for _, pi := range livePoEs(x, cal) {
-		pc := &cal.poes[pi]
-		acc, words, _, _ := trackedState(x, pc)
-		if want := deviationsRef(pc, unpackLevels(words, len(m))); !slices.Equal(acc, want) {
-			return fmt.Errorf("PoE slot %d: accumulator %v, reference at its synced levels %v", pc.slot, acc, want)
-		}
-		if err := memoErr(x, pi, pc); err != nil {
+		if err := memoErr(x, pi, &cal.poes[pi]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// syncAll fails t unless syncErr finds every live PoE exact.
-func syncAll(t testing.TB, x *Crossbar, cal *Calibration) {
+// lookupAll fails t unless lookupErr finds every live PoE exact.
+func lookupAll(t testing.TB, x *Crossbar, cal *Calibration) {
 	t.Helper()
-	if err := syncErr(x, cal); err != nil {
+	if err := lookupErr(x, cal); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// syncErr syncs every live PoE of x's tracker and checks each against the
-// reference sum at x's current levels.
-func syncErr(x *Crossbar, cal *Calibration) error {
+// lookupErr looks up every live PoE's permutation indices at its memo's
+// width and x's current levels, and checks each against the reference.
+func lookupErr(x *Crossbar, cal *Calibration) error {
 	lv := x.Levels()
 	for _, pi := range livePoEs(x, cal) {
 		pc := &cal.poes[pi]
-		if got, want := x.trk.sync(pc, x), deviationsRef(pc, lv); !slices.Equal(got, want) {
-			return fmt.Errorf("PoE slot %d: synced accumulator %v, reference %v", pc.slot, got, want)
+		_, tag, _ := trackedState(x, pc)
+		width := int(tag) - 1
+		if got, want := x.trk.perms(pc, pi, width, x), refPerms(pc, pi, width, lv); !slices.Equal(got, want) {
+			return fmt.Errorf("PoE slot %d: looked-up indices %v, reference %v", pc.slot, got, want)
 		}
 	}
 	return nil

@@ -71,18 +71,16 @@ func permIndex(width int, mixer uint64, cellIdx int) int {
 //
 // The calibration may be shared across crossbars and goroutines; the
 // crossbar itself (levels, wear, tracker) must be externally serialized, as
-// before. The sneak-voltage deviations feeding the permutation choice are
-// maintained incrementally from the complement cells that changed since
-// this PoE's last pulse (see devTracker.sync) — bit-identical to a
-// recompute — and while they stand still a pulse of the same width reuses
-// the permutation indices of the PoE's last pulse (devTracker.permsFor).
+// before. While no cell outside the polyomino changed since the PoE's last
+// pulse, a pulse of the same width reuses that pulse's permutation
+// indices; otherwise the sneak-voltage deviations feeding the permutation
+// choice are summed afresh from the packed levels (devTracker.perms).
 func (x *Crossbar) ApplyPulse(cal *Calibration, poe Cell, class int) error {
 	if class < 0 || class >= device.NumPulses {
 		return fmt.Errorf("xbar: pulse class %d out of range", class)
 	}
-	if cal.cfg.Rows != x.Cfg.Rows || cal.cfg.Cols != x.Cfg.Cols {
-		return fmt.Errorf("xbar: calibration geometry %dx%d does not match crossbar %dx%d",
-			cal.cfg.Rows, cal.cfg.Cols, x.Cfg.Rows, x.Cfg.Cols)
+	if err := x.checkCal(cal); err != nil {
+		return err
 	}
 	if err := cal.ensure(poe); err != nil {
 		return err
@@ -90,16 +88,15 @@ func (x *Crossbar) ApplyPulse(cal *Calibration, poe Cell, class int) error {
 	pidx := cal.poeIndex(poe)
 	pc := &cal.poes[pidx]
 	t := x.tracker(cal)
-	acc := t.sync(pc, x)
 	width := class % device.NumWidths
 	negative := class >= device.NumWidths
 	if x.trace != nil {
 		// The supply-rail observable is defined by the pre-pulse operating
 		// point: the sneak voltages the driver sustains while the cells
-		// drift. acc still holds the pre-mutation deviations here.
-		x.emitTrace(pc, acc, width, negative)
+		// drift, summed here before any level changes.
+		x.emitTrace(pc, t.sumsAt(pc, x), width, negative)
 	}
-	pis := t.permsFor(pc, pidx, width, acc)
+	pis := t.perms(pc, pidx, width, x)
 	for k, ci := range pc.shapeIdx {
 		i := int(ci)
 		pi := pis[k]
@@ -112,6 +109,16 @@ func (x *Crossbar) ApplyPulse(cal *Calibration, poe Cell, class int) error {
 			x.setLevel(i, nl)
 		}
 		x.wear[i]++
+	}
+	return nil
+}
+
+// checkCal reports an error unless cal was built for the crossbar's
+// geometry.
+func (x *Crossbar) checkCal(cal *Calibration) error {
+	if cal.cfg.Rows != x.Cfg.Rows || cal.cfg.Cols != x.Cfg.Cols {
+		return fmt.Errorf("xbar: calibration geometry %dx%d does not match crossbar %dx%d",
+			cal.cfg.Rows, cal.cfg.Cols, x.Cfg.Rows, x.Cfg.Cols)
 	}
 	return nil
 }

@@ -16,7 +16,7 @@ import (
 // round, and both trackers must hold their invariant (checkTracker) against
 // their per-cell models after every step. Between rounds both crossbars
 // sometimes take the same WriteBlock or SetLevels, so Rewinds also land on
-// trackers whose PoEs were last synced before a bulk write.
+// trackers whose PoE memos were derived before a bulk write.
 func TestRewindMatchesInverseTrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, cfg := range []Config{DefaultConfig(), sizedConfig(16, 16)} {
@@ -76,12 +76,12 @@ func TestRewindMatchesInverseTrain(t *testing.T) {
 				t.Fatalf("%dx%d round %d: rewound wear differs from the inverse train's", cfg.Rows, cfg.Cols, round)
 			}
 		}
-		syncAll(t, a, cal)
-		syncAll(t, b, cal)
+		lookupAll(t, a, cal)
+		lookupAll(t, b, cal)
 	}
 }
 
-// TestInverseTrainFindsNoChanges pins the property the tracker's diff is
+// TestInverseTrainFindsNoChanges pins the property the permutation memo is
 // built on: the inverse pulses run in reverse order, so when a PoE's
 // inverse pulse fires every cell outside its polyomino holds the level it
 // held at that PoE's forward pulse. An inverse train applied right after
@@ -112,10 +112,10 @@ func TestInverseTrainFindsNoChanges(t *testing.T) {
 			for k := len(order) - 1; k >= 0; k-- {
 				poe := poes[order[k]]
 				pc := &cal.poes[cal.poeIndex(poe)]
-				_, words, _, _ := trackedState(x, pc)
-				if n := pending(pc, x.packed, words); n != 0 {
-					t.Fatalf("%dx%d round %d: inverse pulse at %+v finds %d changed complement cells, want 0",
-						cfg.Rows, cfg.Cols, round, poe, n)
+				words, _, _ := trackedState(x, pc)
+				if complementChanged(pc, x.packed, words) {
+					t.Fatalf("%dx%d round %d: inverse pulse at %+v finds changed complement cells, want none",
+						cfg.Rows, cfg.Cols, round, poe)
 				}
 				applyPulse(t, x, cal, m, poe, InverseClass(classes[k]))
 			}
@@ -142,5 +142,90 @@ func TestAppendBlockMatchesReadBlock(t *testing.T) {
 	got := x.AppendBlock(append([]byte(nil), prefix...))
 	if !bytes.Equal(got[:2], prefix) || !bytes.Equal(got[2:], x.ReadBlock()) || !bytes.Equal(got[2:], data) {
 		t.Errorf("AppendBlock = %x, want %x followed by %x", got, prefix, data)
+	}
+}
+
+// TestRestoreTrainMatchesForwardTrain checks RestoreTrain against the
+// forward train it stands in for, at 8x8 and 16x16. Two identical
+// crossbars take the same forward train (an encrypt), one saves its packed
+// levels, and both take the inverse train (a decrypt); then one restores
+// the saved words and the other runs the forward train again. Levels,
+// per-cell wear and both trackers' memos — every memo sound against its
+// per-cell model (checkTracker), and the train's PoEs holding the same tag
+// and indices on both — must agree after every round. Between rounds both
+// crossbars sometimes take the same WriteBlock, so a restore also lands on
+// memos derived before a bulk write.
+func TestRestoreTrainMatchesForwardTrain(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, cfg := range []Config{DefaultConfig(), sizedConfig(16, 16)} {
+		a, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cal := Calibrate(a)
+		ma, mb := make(cellModel, cfg.Cells()), make(cellModel, cfg.Cells())
+		poes := []Cell{{0, 0}, {2, 4}, {5, 1}, {7, 7}, {3, 3}, {6, 2}, {1, 6}, {4, 5}}
+		var ct []uint64
+		for round := 0; round < 60; round++ {
+			if round%3 == 0 {
+				data := make([]byte, a.BlockBytes())
+				rng.Read(data)
+				writeBlock(t, a, ma, data)
+				writeBlock(t, b, mb, data)
+			}
+			order := rng.Perm(len(poes))
+			train := make([]Cell, len(order))
+			classes := make([]int, len(order))
+			for k, p := range order {
+				train[k], classes[k] = poes[p], rng.Intn(device.NumPulses)
+			}
+			forward := func(x *Crossbar, m cellModel) {
+				for k, poe := range train {
+					applyPulse(t, x, cal, m, poe, classes[k])
+				}
+			}
+			forward(a, ma)
+			forward(b, mb)
+			ct = a.AppendPacked(ct[:0])
+			for k := len(train) - 1; k >= 0; k-- {
+				applyPulse(t, a, cal, ma, train[k], InverseClass(classes[k]))
+				applyPulse(t, b, cal, mb, train[k], InverseClass(classes[k]))
+			}
+			n, err := a.RestoreTrain(cal, train, append(ct, 0xdead))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != len(a.packed) {
+				t.Fatalf("%dx%d round %d: RestoreTrain consumed %d words, want %d", cfg.Rows, cfg.Cols, round, n, len(a.packed))
+			}
+			copy(ma, unpackLevels(ct, cfg.Cells()))
+			forward(b, mb)
+			checkTracker(t, a, cal, ma)
+			checkTracker(t, b, cal, mb)
+			if !slices.Equal(a.packed, b.packed) {
+				t.Fatalf("%dx%d round %d: restored levels differ from the forward train's", cfg.Rows, cfg.Cols, round)
+			}
+			if !slices.Equal(a.wear, b.wear) {
+				t.Fatalf("%dx%d round %d: restored wear differs from the forward train's", cfg.Rows, cfg.Cols, round)
+			}
+			for _, poe := range train {
+				pc := &cal.poes[cal.poeIndex(poe)]
+				_, tagA, idxA := trackedState(a, pc)
+				_, tagB, idxB := trackedState(b, pc)
+				if tagA != tagB || !slices.Equal(idxA, idxB) {
+					t.Fatalf("%dx%d round %d: memo at %+v after the restore %#x %v, after the forward train %#x %v",
+						cfg.Rows, cfg.Cols, round, poe, tagA, idxA, tagB, idxB)
+				}
+			}
+		}
+		lookupAll(t, a, cal)
+		lookupAll(t, b, cal)
+		if _, err := a.RestoreTrain(cal, poes, ct[:len(ct)-1]); err == nil {
+			t.Errorf("%dx%d: RestoreTrain accepted %d of %d words", cfg.Rows, cfg.Cols, len(ct)-1, len(ct))
+		}
 	}
 }

@@ -9,15 +9,15 @@ import (
 )
 
 // BenchmarkDeviationSync times the fixed-point deviation-sum rung on its
-// own: one op is one devTracker.sync. Set-up runs the real pulse trains
-// through ApplyPulse and records the crossbar's levels before every pulse;
-// the timed loop replays those states into a fresh tracker and syncs the
-// pulsed PoE, so each sync sees exactly the changed cells the pulse path
-// would. readthrough is the Parallel read: the inverse train of one
-// ciphertext, repeated (every sync finds its PoE's complement unchanged).
-// overwrite is a WriteBlock of fresh data followed by the forward train,
-// cycling over four blocks of data (the first sync of each PoE per train
-// sees mostly changed cells).
+// own: one op is one permutation-memo lookup (devTracker.perms). Set-up
+// runs the real pulse trains through ApplyPulse and records the crossbar's
+// levels before every pulse; the timed loop replays those states into a
+// fresh tracker and looks up the pulsed PoE, so each lookup sees exactly
+// the levels the pulse path would. readthrough is the Parallel read: the
+// inverse train of one ciphertext, repeated (every lookup finds its PoE's
+// complement unchanged and reuses the memo). overwrite is a WriteBlock of
+// fresh data followed by the forward train, cycling over four blocks of
+// data (every lookup finds changed cells and recomputes the dense sums).
 func BenchmarkDeviationSync(b *testing.B) {
 	for _, mode := range []string{"readthrough", "overwrite"} {
 		for _, size := range []int{8, 16} {
@@ -28,10 +28,12 @@ func BenchmarkDeviationSync(b *testing.B) {
 	}
 }
 
-// syncStep is one recorded pulse: the PoE and the packed levels it saw.
+// syncStep is one recorded pulse: the PoE, its linear index, the pulse
+// width and the packed levels it saw.
 type syncStep struct {
-	pc     *poeCal
-	packed []uint64
+	pc        *poeCal
+	pi, width int
+	packed    []uint64
 }
 
 func benchSync(b *testing.B, size int, overwrite bool) {
@@ -49,7 +51,8 @@ func benchSync(b *testing.B, size int, overwrite bool) {
 	}
 	var steps []syncStep
 	record := func(poe Cell, class int) {
-		steps = append(steps, syncStep{&cal.poes[cal.poeIndex(poe)], append([]uint64(nil), x.packed...)})
+		pi := cal.poeIndex(poe)
+		steps = append(steps, syncStep{&cal.poes[pi], pi, class % device.NumWidths, append([]uint64(nil), x.packed...)})
 		if err := x.ApplyPulse(cal, poe, class); err != nil {
 			b.Fatal(err)
 		}
@@ -85,9 +88,9 @@ func benchSync(b *testing.B, size int, overwrite bool) {
 		b.Fatal(err)
 	}
 	t := y.tracker(cal)
-	replay := func(s *syncStep) []int64 {
+	replay := func(s *syncStep) []uint8 {
 		y.packed = s.packed
-		return t.sync(s.pc, y)
+		return t.perms(s.pc, s.pi, s.width, y)
 	}
 	for i := range steps {
 		replay(&steps[i])
@@ -113,10 +116,10 @@ func benchLattice(size int) []Cell {
 }
 
 // BenchmarkApplyPulse times the Crossbar.ApplyPulse rung: one op is one
-// pulse, sync, permutation choice and level update together. readthrough
-// alternates the inverse train of one ciphertext with its forward train,
-// so every pulse finds its PoE's complement as the PoE's previous pulse
-// left it and reuses that pulse's permutation indices — the steady state
+// pulse, memo lookup and level update together. readthrough alternates
+// the inverse train of one ciphertext with its forward train, so every
+// pulse finds its PoE's complement as the PoE's previous pulse left it
+// and reuses that pulse's permutation indices — the steady state
 // of the Parallel read, whose Rewind restores each train's start. overwrite
 // is a WriteBlock of fresh data followed by the forward train, cycling over
 // four blocks of data; the WriteBlock is timed with the train it precedes.

@@ -137,7 +137,7 @@ func (x *Crossbar) SetTraceSink(sink PulseTraceSink, mode TraceMode) error {
 
 // emitTrace builds and delivers one pulse record. Called from ApplyPulse
 // only when a sink is attached; pc and acc are the calibration record and
-// deviation accumulator of the pulse being applied.
+// pre-pulse deviation sums of the pulse being applied.
 func (x *Crossbar) emitTrace(pc *poeCal, acc []int64, width int, negative bool) {
 	ts := x.trace
 	rec := PulseTrace{Seq: ts.seq}

@@ -11,9 +11,10 @@ import (
 
 // FuzzTrackerMatchesScratch decodes the input into a mix of pulses, block
 // writes, SetLevels and Save/Rewind on an 8x8 crossbar, three bytes per op,
-// and checks every pulse's accumulator (pulseErr), the tracker invariant
-// (checkTracker) against a per-cell model of the levels after every op, and
-// every live accumulator against a from-scratch sum at the end.
+// and checks every pulse's permutation indices (pulseErr), the tracker
+// invariant (checkTracker) against a per-cell model of the levels after
+// every op, and a lookup of every live PoE against a from-scratch sum at
+// the end.
 func FuzzTrackerMatchesScratch(f *testing.F) {
 	f.Add([]byte{0, 9, 3, 1, 27, 17, 7, 0, 0, 2, 36, 30, 7, 1, 0, 3, 9, 19})
 	f.Add([]byte{5, 1, 2, 0, 12, 4, 6, 77, 3, 4, 40, 31, 7, 0, 0, 1, 12, 20, 7, 1, 1, 0, 12, 4})
@@ -57,7 +58,7 @@ func FuzzTrackerMatchesScratch(f *testing.F) {
 			}
 			checkTracker(t, x, cal, m)
 		}
-		syncAll(t, x, cal)
+		lookupAll(t, x, cal)
 	})
 }
 
@@ -65,9 +66,9 @@ func FuzzTrackerMatchesScratch(f *testing.F) {
 // its own crossbar through one shared cold calibration and first-touching
 // the PoEs in a different order. Run under -race it checks the slot
 // hand-out inside ensure's Once: every built PoE gets a distinct slot, the
-// slots are dense (0..n-1 for n built PoEs), the accumulator offsets handed
-// out with them tile [0, ΣS) without overlap in slot order, and every
-// goroutine's accumulators stay exact.
+// slots are dense (0..n-1 for n built PoEs), the memo offsets handed out
+// with them tile [0, Σ(S+1)) without overlap in slot order, and every
+// goroutine's memos stay exact.
 func TestTrackerSlotsConcurrentFirstTouch(t *testing.T) {
 	ref, err := New(DefaultConfig())
 	if err != nil {
@@ -112,7 +113,7 @@ func TestTrackerSlotsConcurrentFirstTouch(t *testing.T) {
 					}
 				}
 			}
-			errs[g] = syncErr(x, cal)
+			errs[g] = lookupErr(x, cal)
 		}(g)
 	}
 	wg.Wait()
@@ -131,8 +132,8 @@ func TestTrackerSlotsConcurrentFirstTouch(t *testing.T) {
 			t.Fatalf("slots %v are not distinct and dense 0..%d", slots, len(poes)-1)
 		}
 	}
-	// Walking the PoEs in slot order, each accumulator range must start
-	// where the previous one ended: disjoint, and dense over [0, ΣS).
+	// Walking the PoEs in slot order, each memo range must start where the
+	// previous one ended: disjoint, and dense over [0, Σ(S+1)).
 	bySlot := make([]*poeCal, len(poes))
 	for _, p := range poes {
 		pc := &cal.poes[cal.poeIndex(p)]
@@ -140,22 +141,23 @@ func TestTrackerSlotsConcurrentFirstTouch(t *testing.T) {
 	}
 	end := 0
 	for _, pc := range bySlot {
-		if pc.accOff != end {
-			t.Fatalf("slot %d: accumulator offset %d, want %d (the ΣS of the slots below)", pc.slot, pc.accOff, end)
+		if pc.memoOff != end {
+			t.Fatalf("slot %d: memo offset %d, want %d (the Σ(S+1) of the slots below)", pc.slot, pc.memoOff, end)
 		}
-		end += len(pc.shape)
+		end += 1 + len(pc.shape)
 	}
-	if n, accLen := cal.slotsOut(); n != len(poes) || accLen != end {
-		t.Fatalf("%d slots and %d accumulator entries handed out for %d PoEs with ΣS = %d", n, accLen, len(poes), end)
+	if n, memoLen := cal.slotsOut(); n != len(poes) || memoLen != end {
+		t.Fatalf("%d slots and %d memo bytes handed out for %d PoEs with Σ(S+1) = %d", n, memoLen, len(poes), end)
 	}
 }
 
 // TestInverseTrainReusesPermutations checks the permutation memo on the
 // decrypt pattern at 8x8 and 16x16: an inverse train applied right after
 // its forward train finds every PoE's complement unchanged, so each inverse
-// pulse must find its PoE's memo tagged with its own width and its sync
-// must leave the tag standing. A WriteBlock between the trains changes the
-// complements, and each inverse pulse's sync must then clear the tag.
+// pulse must find its PoE's memo tagged with its own width and reuse it
+// without summing anything (the tracker's scratch stays unallocated). A
+// WriteBlock between the trains changes the complements, and each inverse
+// pulse must then recompute the sums.
 func TestInverseTrainReusesPermutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, cfg := range []Config{DefaultConfig(), sizedConfig(16, 16)} {
@@ -182,22 +184,17 @@ func TestInverseTrainReusesPermutations(t *testing.T) {
 			}
 			for k := len(poes) - 1; k >= 0; k-- {
 				pc := &cal.poes[cal.poeIndex(poes[k])]
-				want := memoTouched | uint8(classes[k]%device.NumWidths+1)
-				if _, _, tag, _ := trackedState(x, pc); tag != want {
+				want := uint8(classes[k]%device.NumWidths + 1)
+				if _, tag, _ := trackedState(x, pc); tag != want {
 					t.Fatalf("%dx%d round %d: memo tag %#x at %+v before its inverse pulse, want %#x",
 						cfg.Rows, cfg.Cols, round, poes[k], tag, want)
 				}
-				x.trk.sync(pc, x)
-				_, _, tag, _ := trackedState(x, pc)
-				if !overwrite && tag != want {
-					t.Fatalf("%dx%d round %d: inverse pulse at %+v: sync left memo tag %#x, want %#x (reuse)",
-						cfg.Rows, cfg.Cols, round, poes[k], tag, want)
-				}
-				if overwrite && tag != memoTouched {
-					t.Fatalf("%dx%d round %d: inverse pulse at %+v after a WriteBlock: sync left memo tag %#x, want %#x (invalidated)",
-						cfg.Rows, cfg.Cols, round, poes[k], tag, memoTouched)
-				}
+				x.trk.sums = nil
 				applyPulse(t, x, cal, m, poes[k], InverseClass(classes[k]))
+				if summed := x.trk.sums != nil; summed != overwrite {
+					t.Fatalf("%dx%d round %d: inverse pulse at %+v (overwrite %v) summed the deviations: %v",
+						cfg.Rows, cfg.Cols, round, poes[k], overwrite, summed)
+				}
 			}
 			checkTracker(t, x, cal, m)
 		}
@@ -205,9 +202,9 @@ func TestInverseTrainReusesPermutations(t *testing.T) {
 }
 
 // TestTrackerFootprint checks the slab sizes after a full pulse train at
-// 8x8 and 16x16 — ΣS accumulator entries, nslots·W packed words and
-// ΣS+nslots memo bytes over the built PoEs, nothing per PoE besides — and
-// that a warm pulse allocates nothing.
+// 8x8 and 16x16 — nslots·W packed words and ΣS+nslots memo bytes over the
+// built PoEs, nothing per PoE besides, and a scratch as long as the
+// largest polyomino — and that a warm pulse allocates nothing.
 func TestTrackerFootprint(t *testing.T) {
 	for _, size := range []int{8, 16} {
 		x, err := New(sizedConfig(size, size))
@@ -226,15 +223,16 @@ func TestTrackerFootprint(t *testing.T) {
 		for k, poe := range poes {
 			applyPulse(t, x, cal, m, poe, k%device.NumPulses)
 		}
-		sumS := 0
+		sumS, maxS := 0, 0
 		for _, poe := range poes {
-			sumS += len(cal.poes[cal.poeIndex(poe)].shape)
+			s := len(cal.poes[cal.poeIndex(poe)].shape)
+			sumS, maxS = sumS+s, max(maxS, s)
 		}
 		n, w := len(poes), len(x.packed)
 		trk := x.trk
-		if len(trk.acc) != sumS || len(trk.words) != n*w || len(trk.memo) != sumS+n {
-			t.Fatalf("%dx%d: slabs hold %d/%d/%d entries, want ΣS=%d, nslots·W=%d, ΣS+nslots=%d",
-				size, size, len(trk.acc), len(trk.words), len(trk.memo), sumS, n*w, sumS+n)
+		if len(trk.words) != n*w || len(trk.memo) != sumS+n || len(trk.sums) != maxS {
+			t.Fatalf("%dx%d: slabs hold %d/%d/%d entries, want nslots·W=%d, ΣS+nslots=%d, max S=%d",
+				size, size, len(trk.words), len(trk.memo), len(trk.sums), n*w, sumS+n, maxS)
 		}
 		k := 0
 		allocs := testing.AllocsPerRun(200, func() {
