@@ -17,8 +17,9 @@ vet:
 test-race:
 	$(GO) test -race ./...
 
-# Short fuzz passes over the round-trip harnesses; lengthen -fuzztime for a
-# real hunt.
+# Short fuzz passes over the round-trip harnesses (FuzzTrackerMatchesScratch
+# checks pulse trains against a memo-free twin crossbar); lengthen -fuzztime
+# for a real hunt.
 fuzz:
 	$(GO) test ./internal/core -run xxx -fuzz FuzzSPERoundTrip -fuzztime 30s
 	$(GO) test ./internal/cipher/stream -run xxx -fuzz FuzzStreamRoundTrip -fuzztime 30s
@@ -40,9 +41,9 @@ test-attacks:
 # only the archive its code feeds; bench rewrites all three.
 bench: bench-specu bench-ilp bench-linalg
 
-# SPECU hot-path benchmarks (the DeriveSchedule rung, the permutation-memo
-# lookup, the ApplyPulse rung, block crypt, the Serial flush and the sharded
-# pipeline), archived as JSON so runs can be diffed across commits
+# SPECU hot-path benchmarks (the DeriveSchedule rung, the dense
+# deviation-sum rung, the pulse-train rung, block crypt, the Serial flush
+# and the sharded pipeline), archived as JSON so runs can be diffed across commits
 # (EXPERIMENTS.md records the headline numbers). The second core run
 # repeats the coalesced batch benches at -cpu 4 so the archive carries the
 # multi-core matrix (benchjson derives speedup_vs_w1 per -cpu level); on a
@@ -52,10 +53,10 @@ bench: bench-specu bench-ilp bench-linalg
 # matrix instead.
 bench-specu:
 	( $(GO) test ./internal/prng -run xxx -bench 'BenchmarkDeriveSchedule' -benchmem ; \
-	  $(GO) test ./internal/xbar -run xxx -bench 'BenchmarkDeviationSync|BenchmarkApplyPulse' -benchmem ; \
+	  $(GO) test ./internal/xbar -run xxx -bench 'BenchmarkDeviationSync|BenchmarkTrain' -benchmem ; \
 	  $(GO) test ./internal/core -run xxx -bench 'BenchmarkBlock|BenchmarkNewBlock|BenchmarkSPECU' -benchtime 20x -benchmem ; \
 	  $(GO) test ./internal/core -run xxx -bench 'BenchmarkSPECU(ShardedRead|EncryptBatch)' -benchtime 20x -benchmem -cpu 4 ) \
-		| $(GO) run ./cmd/benchjson -require 34 -o BENCH_specu.json
+		| $(GO) run ./cmd/benchjson -require 32 -o BENCH_specu.json
 	@cat BENCH_specu.json
 
 bench-ilp:

@@ -87,14 +87,15 @@ go run ./cmd/benchjson -diff BENCH_specu.json "$tmpdir/batch_matrix.json" \
 # The same gate on the single-op paths: a synchronous Parallel read (the
 # read-through), an overwrite of ciphertext, a Serial flush of read-decrypted
 # blocks (the restore, zero allocations), the 8x8 read-through and
-# overwrite pulses on their own (the ApplyPulse rung, zero allocations on
-# both the memoized path and the dense recompute) and the key schedule at
+# overwrite trains on their own (the Crossbar.Train rung, zero allocations
+# on both the recorded-index inverse train with its restore and the dense
+# forward train) and the key schedule at
 # 16 and 37 PoEs (the DeriveSchedule rung, zero allocations), each at the
 # archive's own -benchtime so warm-up allocations amortize over the same
 # op count.
 ( go test ./internal/core -run xxx -bench 'BenchmarkSPECU(SequentialRead|EncryptTelemetryOff|Flush)' \
 	-benchtime 20x -benchmem ; \
-  go test ./internal/xbar -run xxx -bench 'BenchmarkApplyPulse/(readthrough|overwrite)/8x8$' -benchmem ; \
+  go test ./internal/xbar -run xxx -bench 'BenchmarkTrain/(readthrough|overwrite)/8x8$' -benchmem ; \
   go test ./internal/prng -run xxx -bench 'BenchmarkDeriveSchedule' -benchmem ) \
 	| go run ./cmd/benchjson -require 7 -o "$tmpdir/single_op.json"
 go run ./cmd/benchjson -diff BENCH_specu.json "$tmpdir/single_op.json" \

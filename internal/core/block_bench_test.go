@@ -35,8 +35,8 @@ func benchBlockSet(b *testing.B) ([]*Block, [][]byte, prng.Key) {
 		pts[i] = pt
 	}
 	key := prng.NewKey(0xB10C, 0xC0DE)
-	// One round trip per block builds its lazy per-crossbar state (tracker,
-	// schedule scratch) before timing, so every -benchtime measures warm
+	// One round trip per block builds its lazy per-crossbar state (train
+	// record, schedule scratch) before timing, so every -benchtime measures warm
 	// blocks; BenchmarkNewBlockFirstEncrypt measures the cold path.
 	for i, blk := range blocks {
 		if err := blk.WritePlain(pts[i]); err != nil {
@@ -54,9 +54,10 @@ func benchBlockSet(b *testing.B) ([]*Block, [][]byte, prng.Key) {
 
 // BenchmarkBlockEncrypt measures one full write+encrypt per op, cycling
 // through 32 distinct blocks so no single block's lazily-built state can
-// hide the per-block cost. Each block is rewritten with the plaintext it
-// held, so the permutation memos find no changed cells; an overwrite with new
-// data is BenchmarkSPECUEncryptTelemetryOff.
+// hide the per-block cost. Each block is rewritten with the plaintext its
+// last decrypt left, so no word changes and the encrypt restores the
+// ciphertext without pulsing; an overwrite with new data is
+// BenchmarkSPECUEncryptTelemetryOff.
 func BenchmarkBlockEncrypt(b *testing.B) {
 	blocks, pts, key := benchBlockSet(b)
 	b.ReportAllocs()

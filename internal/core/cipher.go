@@ -55,12 +55,8 @@ func (c *Cipher) Encrypt(key prng.Key, pt []byte) ([]byte, error) {
 	if err := c.xb.WriteBlock(pt); err != nil {
 		return nil, err
 	}
-	sched := prng.DeriveSchedule(key, len(c.eng.Placement), device.NumPulses)
-	for step := 0; step < len(sched.Order); step++ {
-		p := c.eng.Placement[sched.Order[step]]
-		if err := c.xb.ApplyPulse(c.cal, p, sched.Classes[step]); err != nil {
-			return nil, err
-		}
+	if err := c.train(key, false); err != nil {
+		return nil, err
 	}
 	return c.xb.ReadBlock(), nil
 }
@@ -75,12 +71,18 @@ func (c *Cipher) Decrypt(key prng.Key, ct []byte) ([]byte, error) {
 	if err := c.xb.WriteBlock(ct); err != nil {
 		return nil, err
 	}
-	sched := prng.DeriveSchedule(key, len(c.eng.Placement), device.NumPulses)
-	for step := len(sched.Order) - 1; step >= 0; step-- {
-		p := c.eng.Placement[sched.Order[step]]
-		if err := c.xb.ApplyPulse(c.cal, p, xbar.InverseClass(sched.Classes[step])); err != nil {
-			return nil, err
-		}
+	if err := c.train(key, true); err != nil {
+		return nil, err
 	}
 	return c.xb.ReadBlock(), nil
+}
+
+// train runs key's pulse train on the crossbar: the forward train, or the
+// inverse one to decrypt. A Decrypt of the ciphertext the last Encrypt
+// under the same key produced rewrites the crossbar's own contents, so its
+// train reuses that Encrypt's permutation indices (xbar.Crossbar.Train).
+func (c *Cipher) train(key prng.Key, inverse bool) error {
+	sched := prng.DeriveSchedule(key, len(c.eng.Placement), device.NumPulses)
+	_, err := c.xb.Train(c.cal, c.eng.Placement, sched.Order, sched.Classes, inverse)
+	return err
 }

@@ -52,13 +52,13 @@ func blockWear(b *Block) []uint64 {
 
 // TestReadThroughMatchesPulsedReencrypt checks the Parallel read-through
 // against the pulsed sequence it replaces: decrypt, read the plaintext,
-// encrypt. Twin blocks hold the same ciphertext; each read must return the
-// plaintext and leave both with bit-identical ciphertext and per-cell wear,
-// read after read. A final real Decrypt of both must agree as well, which
-// holds only if the rewind left the crossbar trackers consistent.
+// encrypt, every pulse summed afresh (pulseCrypt). Twin blocks hold the
+// same ciphertext; each read must return the plaintext and leave both with
+// bit-identical ciphertext and per-cell wear, read after read. A final
+// real Decrypt of both must agree as well, which holds only if the
+// restoring re-encrypt left the crossbars' train records consistent.
 func TestReadThroughMatchesPulsedReencrypt(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	var snap xbar.Snapshot
 	for _, e := range equivEngines(t) {
 		name := fmt.Sprintf("%dx%d", e.P.Xbar.Rows, e.P.Xbar.Cols)
 		for n := 0; n < 12; n++ {
@@ -79,23 +79,26 @@ func TestReadThroughMatchesPulsedReencrypt(t *testing.T) {
 				if err := b.WritePlain(plain); err != nil {
 					t.Fatal(err)
 				}
-				if err := b.Encrypt(key, tweak); err != nil {
-					t.Fatal(err)
-				}
+			}
+			if err := got.Encrypt(key, tweak); err != nil {
+				t.Fatal(err)
+			}
+			if err := pulseCrypt(want, key, tweak, false); err != nil {
+				t.Fatal(err)
 			}
 			for r := 0; r < 3+n%3; r++ {
-				data, err := got.readThrough(key, tweak, &snap, trace.Context{})
+				data, err := got.readThrough(key, tweak, trace.Context{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := want.Decrypt(key, tweak); err != nil {
+				if err := pulseCrypt(want, key, tweak, true); err != nil {
 					t.Fatal(err)
 				}
 				ref, err := want.ReadPlain()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := want.Encrypt(key, tweak); err != nil {
+				if err := pulseCrypt(want, key, tweak, false); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(data, plain) || !bytes.Equal(ref, plain) {
@@ -111,10 +114,11 @@ func TestReadThroughMatchesPulsedReencrypt(t *testing.T) {
 					t.Fatalf("%s block %d read %d: per-cell wear differs from the pulsed re-encryption", name, n, r)
 				}
 			}
-			for _, b := range []*Block{got, want} {
-				if err := b.Decrypt(key, tweak); err != nil {
-					t.Fatal(err)
-				}
+			if err := got.Decrypt(key, tweak); err != nil {
+				t.Fatal(err)
+			}
+			if err := pulseCrypt(want, key, tweak, true); err != nil {
+				t.Fatal(err)
 			}
 			gp, _ := got.ReadPlain()
 			if !bytes.Equal(gp, plain) || !bytes.Equal(got.ReadRaw(), want.ReadRaw()) ||
@@ -145,16 +149,15 @@ func TestReadThroughPulseErrorKeepsCiphertext(t *testing.T) {
 	}
 	cipher := b.ReadRaw()
 	bad := &Engine{P: e.P, Placement: append(slices.Clone(e.Placement), xbar.Cell{Row: e.P.Xbar.Rows, Col: 0})}
-	var snap xbar.Snapshot
 	b.eng = bad
-	if _, err := b.readThrough(key, 0x40, &snap, trace.Context{}); err == nil {
+	if _, err := b.readThrough(key, 0x40, trace.Context{}); err == nil {
 		t.Fatal("read-through with an out-of-bounds PoE succeeded")
 	}
 	b.eng = e
 	if !b.Encrypted() || !bytes.Equal(b.ReadRaw(), cipher) {
 		t.Fatal("failed read-through did not leave the ciphertext in place")
 	}
-	data, err := b.readThrough(key, 0x40, &snap, trace.Context{})
+	data, err := b.readThrough(key, 0x40, trace.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,20 +11,46 @@ import (
 
 	"snvmm/internal/prng"
 	"snvmm/internal/telemetry"
-	"snvmm/internal/telemetry/trace"
 	"snvmm/internal/xbar"
 )
 
-// memoFreeTwin is the SPECU's reference model without the schedule memo:
-// the same operations on the same blocks, each crypt through the
-// explicit-key Block methods, which derive every schedule afresh.
+// memoFreeTwin is the SPECU's reference model without the schedule memo
+// and without train records: the same operations on the same blocks, each
+// crypt through pulseCrypt, which derives every schedule afresh and sums
+// every pulse's deviations from scratch.
 type memoFreeTwin struct {
 	eng    *Engine
 	mode   Mode
 	key    prng.Key
 	hasKey bool
 	blocks map[uint64]*Block
-	snap   xbar.Snapshot
+}
+
+// pulseCrypt is the memo-free crypt: it derives b's schedules from key
+// afresh and applies every pulse through xbar.Crossbar.ApplyPulse, which
+// sums its deviations from the levels it finds, so nothing a train
+// recorded is reused or restored.
+func pulseCrypt(b *Block, key prng.Key, tweak uint64, decrypt bool) error {
+	if b.encrypted != decrypt {
+		return fmt.Errorf("core: pulseCrypt(decrypt %v) of a block with encrypted %v", decrypt, b.encrypted)
+	}
+	b.loadScheds(key, tweak, 0)
+	for i, xb := range b.xbs {
+		s := &b.scheds[i]
+		n := len(s.Order)
+		for k := 0; k < n; k++ {
+			step, class := k, s.Classes[k]
+			if decrypt {
+				step = n - 1 - k
+				class = xbar.InverseClass(s.Classes[step])
+			}
+			if err := xb.ApplyPulse(b.cals[i], b.eng.Placement[s.Order[step]], class); err != nil {
+				return err
+			}
+		}
+	}
+	b.encrypted = !decrypt
+	return nil
 }
 
 func newMemoFreeTwin(eng *Engine, mode Mode) *memoFreeTwin {
@@ -59,7 +85,7 @@ func (m *memoFreeTwin) encryptPending() error {
 	}
 	for addr, b := range m.blocks {
 		if !b.Encrypted() {
-			if err := b.Encrypt(m.key, addr); err != nil {
+			if err := pulseCrypt(b, m.key, addr, false); err != nil {
 				return err
 			}
 		}
@@ -82,7 +108,7 @@ func (m *memoFreeTwin) write(addr uint64, data []byte) error {
 	if err := b.program(data); err != nil {
 		return err
 	}
-	return b.Encrypt(m.key, addr)
+	return pulseCrypt(b, m.key, addr, false)
 }
 
 func (m *memoFreeTwin) read(addr uint64) ([]byte, error) {
@@ -93,11 +119,8 @@ func (m *memoFreeTwin) read(addr uint64) ([]byte, error) {
 	if !ok {
 		return nil, errNoBlockAt(addr)
 	}
-	if m.mode == Parallel && b.Encrypted() {
-		return b.readThrough(m.key, addr, &m.snap, trace.Context{})
-	}
 	if b.Encrypted() {
-		if err := b.Decrypt(m.key, addr); err != nil {
+		if err := pulseCrypt(b, m.key, addr, true); err != nil {
 			return nil, err
 		}
 	}
@@ -106,7 +129,7 @@ func (m *memoFreeTwin) read(addr uint64) ([]byte, error) {
 		return nil, err
 	}
 	if m.mode == Parallel {
-		if err := b.Encrypt(m.key, addr); err != nil {
+		if err := pulseCrypt(b, m.key, addr, false); err != nil {
 			return nil, err
 		}
 	}

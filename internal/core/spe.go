@@ -119,7 +119,11 @@ func (e *Engine) CrossbarsPerBlock() int {
 }
 
 // Block is one cache-block's worth of NVMM storage: several crossbars with
-// their calibrations, encrypted and decrypted as a unit.
+// their calibrations, encrypted and decrypted as a unit. Besides the
+// arrays, the block holds only key-derived state: its schedules here, and
+// in each crossbar the record of its last pulse train (the schedule, the
+// permutation indices it used and, after a decrypt, the ciphertext it
+// decrypted; see xbar.Crossbar.Train).
 type Block struct {
 	eng       *Engine
 	xbs       []*xbar.Crossbar
@@ -133,12 +137,6 @@ type Block struct {
 	// schedEpoch is the SPECU key epoch scheds were derived under, or 0
 	// when an explicit key derived them; see loadScheds.
 	schedEpoch uint64
-	// ct holds the packed levels of every crossbar, in crossbar order, as
-	// the block's last in-place decrypt under a SPECU key found them: the
-	// ciphertext it decrypted. ctEpoch is that decrypt's schedEpoch while
-	// the block has not changed since, 0 otherwise; see cryptLoaded.
-	ct      []uint64
-	ctEpoch uint64
 }
 
 // NewBlock fabricates the crossbars of one block. seed individualizes the
@@ -183,11 +181,10 @@ func (b *Block) WritePlain(data []byte) error {
 // program is the write phase on any block: it reprograms every cell with
 // data, so whatever the block held — plaintext or stale ciphertext — is
 // replaced, and the block holds plaintext afterwards. Overwriting
-// ciphertext this way leaves the cells, and the crossbar trackers (whose
-// memos the changed cells invalidate), exactly as decrypting first would;
+// ciphertext this way leaves the cells exactly as decrypting first would,
+// and a crossbar whose words change forgets its last train either way;
 // only the decrypt's wear is missing, because the hardware never applies
-// it. The saved ciphertext no longer matches the cells, so its tag is
-// cleared.
+// it.
 func (b *Block) program(data []byte) error {
 	if len(data) != BlockSize {
 		return fmt.Errorf("core: WritePlain needs %d bytes, got %d", BlockSize, len(data))
@@ -199,7 +196,6 @@ func (b *Block) program(data []byte) error {
 		}
 	}
 	b.encrypted = false
-	b.ctEpoch = 0
 	return nil
 }
 
@@ -273,36 +269,24 @@ func (b *Block) loadScheds(key prng.Key, tweak, epoch uint64) bool {
 	return false
 }
 
-// cryptXbar applies crossbar i's loaded schedule: the forward pulse
-// sequence for encryption, the hysteresis-matched inverse pulses in reverse
-// order for decryption. Crossbars of a block are independent (disjoint
-// cells, disjoint calibrations), so their order does not affect the result.
-func (b *Block) cryptXbar(i int, decrypt bool) error {
+// cryptXbar applies crossbar i's loaded schedule as one pulse train: the
+// forward pulse sequence for encryption, the hysteresis-matched inverse
+// pulses in reverse order for decryption. It reports whether the train
+// restored the ciphertext its crossbar's last decrypt started from instead
+// of pulsing (xbar.Crossbar.Train). Crossbars of a block are independent
+// (disjoint cells, disjoint calibrations), so their order does not affect
+// the result.
+func (b *Block) cryptXbar(i int, decrypt bool) (restored bool, err error) {
 	sched := &b.scheds[i]
-	xb := b.xbs[i]
-	if decrypt {
-		for step := len(sched.Order) - 1; step >= 0; step-- {
-			p := b.eng.Placement[sched.Order[step]]
-			if err := xb.ApplyPulse(b.cals[i], p, xbar.InverseClass(sched.Classes[step])); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for step := 0; step < len(sched.Order); step++ {
-		p := b.eng.Placement[sched.Order[step]]
-		if err := xb.ApplyPulse(b.cals[i], p, sched.Classes[step]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b.xbs[i].Train(b.cals[i], b.eng.Placement, sched.Order, sched.Classes, decrypt)
 }
 
 // crypt encrypts or decrypts the block under an explicit key, deriving its
 // schedules afresh.
 func (b *Block) crypt(key prng.Key, tweak uint64, decrypt bool, tc trace.Context) error {
 	b.loadScheds(key, tweak, 0)
-	return b.cryptLoaded(decrypt, tc)
+	_, err := b.cryptLoaded(decrypt, tc)
+	return err
 }
 
 // cryptLoaded drives the block's crossbars through cryptXbar one after
@@ -313,101 +297,68 @@ func (b *Block) crypt(key prng.Key, tweak uint64, decrypt bool, tc trace.Context
 // serial unit of work here. The caller must hold the block's shard lock
 // when the block is shared.
 //
-// A decrypt under a SPECU key first saves the ciphertext into b.ct and,
-// on success, tags it with the key epoch. An encrypt that finds the tag
-// equal to its schedules' epoch — nothing changed the block since that
-// decrypt, and the schedules are the ones it ran — restores the saved
-// words instead of pulsing (restorable): the forward train undoes the
-// inverse train pulse by pulse, so it would rebuild them bit for bit, and
-// every full train charges the same wear whatever the key or data
-// (xbar.Crossbar.RestoreTrain). Any crypt clears the tag before it
-// changes a cell, so an explicit-key crypt leaves none behind.
-func (b *Block) cryptLoaded(decrypt bool, tc trace.Context) error {
+// An encrypt of a block nothing changed since its last decrypt under the
+// same schedules restores every crossbar's ciphertext instead of pulsing,
+// and reports restored. A train checks its whole schedule before it
+// changes a cell, and every crossbar runs the same placement, so a failed
+// crypt leaves the block as it found it.
+func (b *Block) cryptLoaded(decrypt bool, tc trace.Context) (restored bool, err error) {
 	if decrypt && !b.encrypted {
-		return fmt.Errorf("core: block not encrypted")
+		return false, fmt.Errorf("core: block not encrypted")
 	}
 	if !decrypt && b.encrypted {
-		return fmt.Errorf("core: block already encrypted")
+		return false, fmt.Errorf("core: block already encrypted")
 	}
-	restore := !decrypt && b.restorable()
-	b.ctEpoch = 0
-	if decrypt && b.schedEpoch != 0 {
-		b.saveCiphertext()
-	}
-	ct := b.ct
-	for i, xb := range b.xbs {
+	restored = true
+	for i := range b.xbs {
 		xsp := tc.Start(traceMetaPulseTrain)
-		var err error
-		if restore {
-			var n int
-			n, err = xb.RestoreTrain(b.cals[i], b.eng.Placement, ct)
-			ct = ct[n:]
-		} else {
-			err = b.cryptXbar(i, decrypt)
-		}
+		r, err := b.cryptXbar(i, decrypt)
 		xsp.End(int64(len(b.eng.Placement)), int64(i))
 		if err != nil {
-			return err
+			return false, err
 		}
+		restored = restored && r
 	}
 	b.encrypted = !decrypt
-	if decrypt {
-		b.ctEpoch = b.schedEpoch
-	}
-	return nil
-}
-
-// restorable reports whether an encrypt with the loaded schedules can
-// restore the ciphertext the block's last decrypt saved (see cryptLoaded).
-func (b *Block) restorable() bool {
-	return b.ctEpoch != 0 && b.ctEpoch == b.schedEpoch
-}
-
-// saveCiphertext copies the packed levels of every crossbar into b.ct,
-// allocating it on first use: one packed word holds 32 cells, 8 data
-// bytes.
-func (b *Block) saveCiphertext() {
-	if b.ct == nil {
-		b.ct = make([]uint64, 0, len(b.xbs)*((b.bytesPerXbar()+7)/8))
-	}
-	b.ct = b.ct[:0]
-	for _, xb := range b.xbs {
-		b.ct = xb.AppendPacked(b.ct)
-	}
+	return restored, nil
 }
 
 // readThrough is the SPE-parallel read of an encrypted block under an
 // explicit key, deriving its schedules afresh.
-func (b *Block) readThrough(key prng.Key, tweak uint64, snap *xbar.Snapshot, tc trace.Context) ([]byte, error) {
+func (b *Block) readThrough(key prng.Key, tweak uint64, tc trace.Context) ([]byte, error) {
 	b.loadScheds(key, tweak, 0)
-	return b.readThroughLoaded(snap, tc)
+	return b.readThroughLoaded(tc)
 }
 
 // readThroughLoaded is the read-through with the schedules loadScheds
-// left. For each crossbar it saves the cell state into snap, applies the
-// inverse pulses, senses the plaintext and rewinds the crossbar to the
-// saved ciphertext. The rewind is the re-encryption the paper runs after
-// every parallel read: it leaves the cells, the wear and the tracker state
-// the forward pulse train would, without running that train (see
-// xbar.Crossbar.Rewind). A pulse error rewinds the crossbar it hit before
-// returning, so the block holds its ciphertext whatever happens, and
-// plaintext exists only inside the call, under the caller's shard lock.
-func (b *Block) readThroughLoaded(snap *xbar.Snapshot, tc trace.Context) ([]byte, error) {
+// left. For each crossbar it runs the inverse train, senses the plaintext
+// and runs the forward train, the re-encryption the paper runs after every
+// parallel read. That forward train follows the inverse train of its own
+// schedule with nothing changed in between, so it restores the ciphertext
+// the inverse train started from without pulsing (xbar.Crossbar.Train),
+// leaving the cells and the wear the pulsed re-encryption would. A train
+// checks its schedule before it changes a cell, so an error leaves every
+// crossbar holding its ciphertext, and plaintext exists only inside the
+// call, under the caller's shard lock.
+func (b *Block) readThroughLoaded(tc trace.Context) ([]byte, error) {
 	if !b.encrypted {
 		return nil, fmt.Errorf("core: block not encrypted")
 	}
 	out := make([]byte, 0, BlockSize)
 	for i, xb := range b.xbs {
-		xb.Save(snap)
 		xsp := tc.Start(traceMetaPulseTrain)
-		err := b.cryptXbar(i, true)
+		_, err := b.cryptXbar(i, true)
 		xsp.End(int64(len(b.eng.Placement)), int64(i))
-		if err == nil {
-			out = xb.AppendBlock(out)
-		}
-		xb.Rewind(snap)
 		if err != nil {
 			return nil, err
+		}
+		out = xb.AppendBlock(out)
+		restored, err := b.cryptXbar(i, false)
+		if err != nil {
+			return nil, err
+		}
+		if !restored {
+			return nil, fmt.Errorf("core: read-through re-encrypt of crossbar %d pulsed instead of restoring", i)
 		}
 	}
 	return out, nil

@@ -8,7 +8,6 @@ import (
 	"snvmm/internal/prng"
 	"snvmm/internal/telemetry/slo"
 	"snvmm/internal/telemetry/trace"
-	"snvmm/internal/xbar"
 )
 
 // Mode selects between the paper's two SPE variants (Section 7).
@@ -44,10 +43,6 @@ const NumShards = 32
 type shard struct {
 	mu     sync.RWMutex
 	blocks map[uint64]*Block
-	// snap is the crossbar snapshot Parallel read-throughs save into. It
-	// is only touched under mu held exclusively, so one per shard serves
-	// every block of the shard without allocating.
-	snap xbar.Snapshot
 }
 
 // SPECU is the Sneak Path Encryption Control Unit: it sits between the L2
@@ -337,7 +332,7 @@ func (s *SPECU) readLocked(si int, sh *shard, key loadedKey, addr uint64, tc tra
 		return nil, errNoBlockAt(addr)
 	}
 	if s.mode == Parallel && b.Encrypted() {
-		return s.blockReadThrough(si, sh, b, key, addr, tc)
+		return s.blockReadThrough(si, b, key, addr, tc)
 	}
 	if b.Encrypted() {
 		if err := s.blockCrypt(si, b, key, addr, true, tc); err != nil {

@@ -7,13 +7,12 @@ import (
 
 	"snvmm/internal/prng"
 	"snvmm/internal/telemetry/trace"
-	"snvmm/internal/xbar"
 )
 
 // TestShardedReadAllocRegression pins the allocation budget of a served
 // Parallel-mode read — the hot path of the sharded pipeline. With the
 // per-block schedule scratch, the allocation-free schedule derivation, the
-// shard's read-through snapshot and crossbars sensed straight into the
+// crossbars' reused train records and crossbars sensed straight into the
 // result buffer, a read allocates only its returned plaintext: 1 alloc.
 // The ceiling of 3 leaves 2 for scheduling jitter but fails if a
 // per-crossbar read-out buffer (4 per read) or any per-call crypt
@@ -45,9 +44,9 @@ func TestShardedReadAllocRegression(t *testing.T) {
 
 // TestBlockCryptAllocFree pins the crypt kernel at zero allocations on a
 // warm block: schedules derive into the block's per-crossbar scratch and
-// the pulse path reuses the crossbar's tracker buffers. A warm read-through
-// (Save, decrypt, Rewind per crossbar) allocates exactly once: the
-// plaintext it returns.
+// the trains reuse the crossbars' train records. A warm read-through
+// (an inverse train and a restoring forward train per crossbar) allocates
+// exactly once: the plaintext it returns.
 func TestBlockCryptAllocFree(t *testing.T) {
 	e := engineForTest(t)
 	blk, err := e.NewBlock(7)
@@ -70,7 +69,7 @@ func TestBlockCryptAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	roundTrip() // warm: schedules, tracker
+	roundTrip() // warm: schedules, train records
 	if avg := testing.AllocsPerRun(50, roundTrip); avg != 0 {
 		t.Errorf("warm Encrypt+Decrypt allocates %.1f/op, want 0", avg)
 	}
@@ -85,9 +84,8 @@ func TestBlockCryptAllocFree(t *testing.T) {
 	if err := blk.crypt(key, 0x40, false, trace.Context{}); err != nil {
 		t.Fatal(err)
 	}
-	var snap xbar.Snapshot
 	readThrough := func() {
-		got, err := blk.readThrough(key, 0x40, &snap, trace.Context{})
+		got, err := blk.readThrough(key, 0x40, trace.Context{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +93,7 @@ func TestBlockCryptAllocFree(t *testing.T) {
 			t.Fatal("read-through did not return the plaintext")
 		}
 	}
-	readThrough() // warm: snapshot buffers
+	readThrough() // warm
 	if avg := testing.AllocsPerRun(50, readThrough); avg != 1 {
 		t.Errorf("warm read-through allocates %.1f/op, want 1 (the returned plaintext)", avg)
 	}

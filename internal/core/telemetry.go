@@ -58,7 +58,7 @@ type specuTel struct {
 	schedDerived *telemetry.Counter
 	schedReused  *telemetry.Counter
 	// Block encrypts that restored the ciphertext their block's last
-	// decrypt saved instead of pulsing (Block.cryptLoaded).
+	// decrypt started from instead of pulsing (Block.cryptLoaded).
 	encryptRestored *telemetry.Counter
 
 	plaintext *telemetry.Gauge // blocks currently resident as plaintext
@@ -237,8 +237,7 @@ func (s *SPECU) blockCrypt(si int, b *Block, key loadedKey, addr uint64, decrypt
 	t := s.tel.Load()
 	start := t.now()
 	t.countScheds(b.loadScheds(key.key, addr, key.epoch))
-	restore := !decrypt && b.restorable()
-	err := b.cryptLoaded(decrypt, csp.Context())
+	restored, err := b.cryptLoaded(decrypt, csp.Context())
 	csp.End(int64(len(b.xbs)), 0)
 	t.observeCrypt(si, decrypt, start)
 	if err == nil {
@@ -247,7 +246,7 @@ func (s *SPECU) blockCrypt(si int, b *Block, key loadedKey, addr uint64, decrypt
 		} else {
 			t.addPlaintext(-1)
 		}
-		if restore && t != nil {
+		if restored && t != nil {
 			t.encryptRestored.Inc()
 		}
 	}
@@ -255,17 +254,17 @@ func (s *SPECU) blockCrypt(si int, b *Block, key loadedKey, addr uint64, decrypt
 }
 
 // blockReadThrough runs b's read-through under the loaded key (schedules
-// reused as in blockCrypt) into the shard's snapshot, recorded as a
+// reused as in blockCrypt), recorded as a
 // decrypt: a decrypt span and decrypt-latency sample, since the decrypt is
 // the one keyed pulse train it runs. The block stays
 // ciphertext, so the plaintext gauge does not move. Same locking contract
 // as blockCrypt.
-func (s *SPECU) blockReadThrough(si int, sh *shard, b *Block, key loadedKey, addr uint64, tc trace.Context) ([]byte, error) {
+func (s *SPECU) blockReadThrough(si int, b *Block, key loadedKey, addr uint64, tc trace.Context) ([]byte, error) {
 	csp := tc.Start(traceMetaDecrypt)
 	t := s.tel.Load()
 	start := t.now()
 	t.countScheds(b.loadScheds(key.key, addr, key.epoch))
-	data, err := b.readThroughLoaded(&sh.snap, csp.Context())
+	data, err := b.readThroughLoaded(csp.Context())
 	csp.End(int64(len(b.xbs)), 0)
 	t.observeCrypt(si, true, start)
 	return data, err

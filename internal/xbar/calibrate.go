@@ -34,8 +34,8 @@ import (
 // resolution anyway). With (x_m - 0.5) = (2*level - 3)/8, every deviation
 // is then an exact int64 sum of weight*(2*level-3) terms — an
 // order-independent quantity, so any two summations at the same levels
-// agree bit for bit and a permutation choice memoized at some levels
-// (devTracker) is the one a recompute there would make. Invertibility
+// agree bit for bit and a permutation choice recorded at some levels
+// (the crossbar's train record) is the one a recompute there would make. Invertibility
 // depends on that exactness; see TestIncrementalDeviationsMatchScratch.
 //
 // A Calibration is safe for concurrent readers: per-PoE records are built
@@ -46,8 +46,7 @@ type Calibration struct {
 	cfg Config
 	xb  *Crossbar // reference crossbar used for solves (nominal state)
 
-	poes  []poeCal      // per PoE (linear cell index)
-	slots atomic.Uint64 // tracker slots handed out to built PoEs (high half) and their Σ(S+1) memo bytes (low half)
+	poes []poeCal // per PoE (linear cell index)
 
 	sk calSketch // shared device sketch (sketch path only), built lazily
 }
@@ -64,8 +63,6 @@ type poeCal struct {
 	started atomic.Bool
 	done    atomic.Bool
 
-	slot     int // dense index of this PoE's state in a crossbar's tracker
-	memoOff  int // offset of its permutation memo: Σ(S+1) over the lower slots
 	shape    []Cell
 	shapeIdx []int32 // linear index of each shape cell
 	inShape  []bool
@@ -75,11 +72,9 @@ type poeCal struct {
 	// (ascending) that any shape cell is sensitive to; wT holds the int64
 	// weights complement-major (wT[j*S+k] is the weight of complement
 	// cell compIdx[j] at shape cell k, S shape cells), so one complement
-	// cell's weights are one contiguous stripe; compMask marks the compIdx
-	// cells in the crossbar's packed-level layout.
-	compIdx  []int32
-	wT       []int64
-	compMask []uint64
+	// cell's weights are one contiguous stripe.
+	compIdx []int32
+	wT      []int64
 
 	edges [][2]float64
 }
@@ -118,8 +113,7 @@ const sensDelta = 0.25
 const calSamples = 512
 
 // ensure computes the calibration record for one PoE, exactly once even
-// under concurrent first touch, and hands a built record the next dense
-// tracker slot and memo offset. done is stored once, by the build:
+// under concurrent first touch. done is stored once, by the build:
 // the pulse path calls ensure per pulse from every helper, and a store
 // there would bounce the record's cache line between cores.
 func (c *Calibration) ensure(poe Cell) error {
@@ -139,27 +133,10 @@ func (c *Calibration) ensure(poe Cell) error {
 		}
 	}
 	pc.once.Do(func() {
-		if pc.err = c.build(poe, pc); pc.err == nil {
-			pc.slot, pc.memoOff = c.handOut(1 + len(pc.shape))
-		}
+		pc.err = c.build(poe, pc)
 		pc.done.Store(true)
 	})
 	return pc.err
-}
-
-// handOut takes the next tracker slot and the next n memo bytes in one
-// atomic step, so a slot's offset is always Σ(S+1) over the slots below it
-// and a tracker sized from slotsOut covers every PoE handed out before.
-func (c *Calibration) handOut(n int) (slot, memoOff int) {
-	v := c.slots.Add(1<<32|uint64(n)) - (1<<32 | uint64(n))
-	return int(v >> 32), int(uint32(v))
-}
-
-// slotsOut returns how many tracker slots have been handed out and the
-// Σ(S+1) bytes of their memos.
-func (c *Calibration) slotsOut() (nslots, memoLen int) {
-	v := c.slots.Load()
-	return int(v >> 32), int(uint32(v))
 }
 
 // poeIndex returns the linear index of poe, or -1 when it lies outside the
@@ -177,7 +154,7 @@ func (c *Calibration) poeIndex(poe Cell) int {
 // the legacy dense path (one factorization per PoE; bit-for-bit stable, it
 // backs the 8x8 golden vectors) and the shared-sketch path that makes
 // 32x32+ devices tractable (see calibrate_sparse.go), then derives the
-// layouts the pulse path reads from either.
+// shape-cell indices the pulse path reads from either.
 func (c *Calibration) build(poe Cell, pc *poeCal) error {
 	var err error
 	if c.useSketch() {
@@ -191,10 +168,6 @@ func (c *Calibration) build(poe Cell, pc *poeCal) error {
 	pc.shapeIdx = make([]int32, len(pc.shape))
 	for k, cell := range pc.shape {
 		pc.shapeIdx[k] = int32(cell.Row*c.cfg.Cols + cell.Col)
-	}
-	pc.compMask = make([]uint64, (c.cfg.Cells()+31)/32)
-	for _, m := range pc.compIdx {
-		pc.compMask[m>>5] |= 3 << (uint(m&31) * 2)
 	}
 	return nil
 }
@@ -406,7 +379,7 @@ func wordQ(words []uint64, m int32) int64 {
 
 // sums returns the PoE's calibration record and its deviation sums at the
 // given per-cell levels: the levels are packed once and summed by the
-// dense kernel the tracker recomputes with. what names the caller in
+// dense kernel the pulse path derives with. what names the caller in
 // errors.
 func (c *Calibration) sums(levels []int, poe Cell, what string) (*poeCal, []int64, error) {
 	if err := c.ensure(poe); err != nil {

@@ -14,7 +14,7 @@ type Crossbar struct {
 	params []device.Params // per-cell (fabrication-varied) parameters; read-only, shared when unvaried
 	packed []uint64        // per-cell MLC level, row-major, 2 bits per cell, 32 cells per word
 	wear   []uint64        // per-cell pulse count, for endurance studies
-	trk    *devTracker     // incremental deviation state for the pulse path
+	rec    trainRecord     // the last pulse train, for Train
 	trace  *traceState     // optional per-pulse side-channel sink (nil = off)
 }
 
@@ -45,11 +45,14 @@ func (x *Crossbar) Levels() []int {
 func (x *Crossbar) level(i int) int { return int(x.packed[i>>5] >> (uint(i&31) * 2) & 3) }
 
 // SetLevels overwrites the cell state. The slice length must equal Cells().
+// It voids the train record when a level changes.
 func (x *Crossbar) SetLevels(levels []int) error {
 	if err := checkLevels(levels, x.Cfg.Cells(), "SetLevels"); err != nil {
 		return err
 	}
-	packInto(x.packed, levels)
+	if packInto(x.packed, levels) {
+		x.rec.forget()
+	}
 	return nil
 }
 
@@ -68,12 +71,18 @@ func checkLevels(levels []int, cells int, what string) error {
 }
 
 // packInto packs in-range levels into dst, 2 bits per cell and 32 cells
-// per word; the bits past the last cell are left zero.
-func packInto(dst []uint64, levels []int) {
-	clear(dst)
-	for i, l := range levels {
-		dst[i>>5] |= uint64(l) << (uint(i&31) * 2)
+// per word, with the bits past the last cell zero, and reports whether any
+// word changed.
+func packInto(dst []uint64, levels []int) (changed bool) {
+	for w := range dst {
+		var v uint64
+		for i, l := range levels[32*w : min(32*w+32, len(levels))] {
+			v |= uint64(l) << (uint(i) * 2)
+		}
+		changed = changed || v != dst[w]
+		dst[w] = v
 	}
+	return changed
 }
 
 // Wear returns a copy of the per-cell pulse counts.
@@ -94,16 +103,22 @@ func (x *Crossbar) BlockBytes() int { return x.Cfg.Cells() / 4 }
 // keep their levels. A cell's bits are the complement of its level
 // (device.LevelBits), so each data byte is the bitwise NOT of the matching
 // byte of the little-endian packed words, and the block is written (and
-// read, AppendBlock) a word at a time.
+// read, AppendBlock) a word at a time. The train record is voided only
+// when a word changes, so rewriting the block's own contents keeps it.
 func (x *Crossbar) WriteBlock(data []byte) error {
 	if len(data) != x.BlockBytes() {
 		return fmt.Errorf("xbar: WriteBlock needs %d bytes, got %d", x.BlockBytes(), len(data))
 	}
-	for w := range x.packed {
+	var diff uint64
+	for w, old := range x.packed {
 		var buf [8]byte
 		n := copy(buf[:], data[8*w:])
 		mask := ^uint64(0) >> (64 - 8*uint(n)) // the cells the data covers
-		x.packed[w] = x.packed[w]&^mask | ^binary.LittleEndian.Uint64(buf[:])&mask
+		x.packed[w] = old&^mask | ^binary.LittleEndian.Uint64(buf[:])&mask
+		diff |= x.packed[w] ^ old
+	}
+	if diff != 0 {
+		x.rec.forget()
 	}
 	for i := range x.wear {
 		x.wear[i]++

@@ -3,7 +3,6 @@ package xbar
 import (
 	"bytes"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"snvmm/internal/device"
@@ -342,9 +341,10 @@ func TestTransientSubThresholdNoDrift(t *testing.T) {
 // TestBlockIOWordWide checks the word-wide block I/O at 5x5, 6x6 and 12x12,
 // whose last packed word is partial (and at 5x5 the last data byte too):
 // ReadBlock returns what WriteBlock wrote, and after every WriteBlock,
-// ApplyPulse, Rewind and SetLevels the levels equal the per-cell model and
-// the packed words are its reference packing (checkTracker), so the padding
-// bits past the last cell stay zero.
+// ApplyPulse, train (forward, then the inverse train that undoes it) and
+// SetLevels the levels equal the per-cell model and the packed words are
+// its reference packing (checkTracker), so the padding bits past the last
+// cell stay zero.
 func TestBlockIOWordWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, size := range []int{5, 6, 12} {
@@ -355,7 +355,6 @@ func TestBlockIOWordWide(t *testing.T) {
 		cal := Calibrate(x)
 		cells := x.Cfg.Cells()
 		m := make(cellModel, cells)
-		var snap Snapshot
 		for round := 0; round < 12; round++ {
 			data := make([]byte, x.BlockBytes())
 			rng.Read(data)
@@ -364,17 +363,14 @@ func TestBlockIOWordWide(t *testing.T) {
 			if got := x.ReadBlock(); !bytes.Equal(got, data) {
 				t.Fatalf("%dx%d round %d: ReadBlock %x after WriteBlock %x", size, size, round, got, data)
 			}
-			x.Save(&snap)
-			saved := slices.Clone(m)
-			for k := 0; k < 4; k++ {
-				applyPulse(t, x, cal, m, x.Cfg.CellAt(rng.Intn(cells)), rng.Intn(device.NumPulses))
-				checkTracker(t, x, cal, m)
-			}
-			x.Rewind(&snap)
-			copy(m, saved)
-			checkTracker(t, x, cal, m)
-			if got := x.ReadBlock(); !bytes.Equal(got, data) {
-				t.Fatalf("%dx%d round %d: ReadBlock %x after Rewind, want %x", size, size, round, got, data)
+			applyPulse(t, x, cal, m, x.Cfg.CellAt(rng.Intn(cells)), rng.Intn(device.NumPulses))
+			at := x.ReadBlock()
+			poes := []Cell{x.Cfg.CellAt(rng.Intn(cells)), x.Cfg.CellAt(rng.Intn(cells))}
+			sc := randomSchedule(rng, len(poes), 4)
+			train(t, x, cal, m, poes, sc, false)
+			train(t, x, cal, m, poes, sc, true)
+			if got := x.ReadBlock(); !bytes.Equal(got, at) {
+				t.Fatalf("%dx%d round %d: ReadBlock %x after a train and its inverse, want %x", size, size, round, got, at)
 			}
 			setLevels(t, x, m, randomLevels(rng, cells))
 			checkTracker(t, x, cal, m)

@@ -2,6 +2,7 @@ package xbar
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -11,16 +12,15 @@ import (
 	"snvmm/internal/device"
 )
 
-// TestIncrementalDeviationsMatchScratch drives a long random mix of pulses,
-// block writes, SetLevels and Save/Rewind at 8x8 and 16x16 and, after every
-// step, checks the tracker invariant (checkTracker): the crossbar's levels
-// equal the test's own per-cell model of them, and every memo holds the
-// permutation indices of the from-scratch reference sums at the levels it
-// was derived at. Every pulse must also have used the indices of the exact
-// sums of the levels it found (pulseErr), and every few steps all live
-// PoEs are looked up and checked against the current levels too.
-// Decryption correctness rests on this exactness: if a reused memo and a
-// recompute could disagree, the level permutations would diverge between
+// TestIncrementalDeviationsMatchScratch drives a long random mix of
+// pulses, block writes, SetLevels and forward and inverse trains drawn
+// from a small pool of schedules (so trains hit and restore) at 8x8 and
+// 16x16 and, after every step, checks the train record invariant
+// (checkTracker): the crossbar's levels equal the test's own per-cell
+// model of them, and a live record holds, per step, the permutation
+// indices of the from-scratch reference sums at the levels that step found.
+// Decryption correctness rests on this exactness: if recorded indices and
+// a recompute could disagree, the level permutations would diverge between
 // encrypt and decrypt.
 func TestIncrementalDeviationsMatchScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -32,33 +32,26 @@ func TestIncrementalDeviationsMatchScratch(t *testing.T) {
 		cal := Calibrate(xb)
 		m := make(cellModel, cfg.Cells())
 		poes := []Cell{{0, 0}, {2, 4}, {5, 1}, {7, 7}, {3, 3}, {6, 2}}
-		var snap Snapshot
-		var saved cellModel
+		pool := make([]schedule, 3)
+		for i := range pool {
+			pool[i] = randomSchedule(rng, len(poes), 1+rng.Intn(8))
+		}
 		for step := 0; step < 600; step++ {
 			switch op := rng.Intn(20); {
 			case op == 0:
 				data := make([]byte, xb.BlockBytes())
 				rng.Read(data)
 				writeBlock(t, xb, m, data)
-				saved = nil
 			case op == 1:
 				setLevels(t, xb, m, randomLevels(rng, cfg.Cells()))
-				saved = nil
-			case op == 2:
-				xb.Save(&snap)
-				saved = slices.Clone(m)
-			case op == 3 && saved != nil:
-				xb.Rewind(&snap)
-				copy(m, saved)
+			case op < 8:
+				sc := pool[rng.Intn(len(pool))]
+				train(t, xb, cal, m, poes, sc, op%2 == 0)
 			default:
 				applyPulse(t, xb, cal, m, poes[rng.Intn(len(poes))], rng.Intn(device.NumPulses))
 			}
 			checkTracker(t, xb, cal, m)
-			if step%7 == 0 {
-				lookupAll(t, xb, cal)
-			}
 		}
-		lookupAll(t, xb, cal)
 	}
 }
 
@@ -187,33 +180,21 @@ func setLevels(t testing.TB, x *Crossbar, m cellModel, levels []int) {
 	copy(m, levels)
 }
 
-// livePoEs returns the linear index of every PoE whose memo x's tracker
-// holds; its state is trackedState(x, &cal.poes[pi]).
-func livePoEs(x *Crossbar, cal *Calibration) []int {
-	if x.trk == nil || x.trk.cal != cal {
-		return nil
-	}
-	var pis []int
-	for pi := range cal.poes {
-		pc := &cal.poes[pi]
-		if pc.done.Load() && pc.err == nil && pc.memoOff < len(x.trk.memo) && x.trk.memo[pc.memoOff] != 0 {
-			pis = append(pis, pi)
-		}
-	}
-	return pis
-}
+// schedule is one train's σ: PoE list positions and forward classes.
+type schedule struct{ order, classes []int }
 
-// trackedState returns the slab entries x's tracker holds for a PoE: the
-// packed words its memo was derived at, its memo tag and its memoized
-// permutation indices.
-func trackedState(x *Crossbar, pc *poeCal) (words []uint64, tag uint8, idx []uint8) {
-	t, nw := x.trk, len(x.packed)
-	m := t.memo[pc.memoOff : pc.memoOff+1+len(pc.shape)]
-	return t.words[pc.slot*nw : (pc.slot+1)*nw], m[0], m[1:]
+// randomSchedule draws a schedule of n steps over npoes PoEs; a PoE may
+// recur.
+func randomSchedule(rng *rand.Rand, npoes, n int) schedule {
+	sc := schedule{make([]int, n), make([]int, n)}
+	for s := range sc.order {
+		sc.order[s], sc.classes[s] = rng.Intn(npoes), rng.Intn(device.NumPulses)
+	}
+	return sc
 }
 
 // applyPulse applies one pulse to x and its model m and fails t unless
-// pulseErr passes.
+// the levels still match (trackerErr).
 func applyPulse(t testing.TB, x *Crossbar, cal *Calibration, m cellModel, poe Cell, class int) {
 	t.Helper()
 	if err := pulseErr(x, cal, m, poe, class); err != nil {
@@ -221,43 +202,141 @@ func applyPulse(t testing.TB, x *Crossbar, cal *Calibration, m cellModel, poe Ce
 	}
 }
 
-// pulseErr applies one pulse to x and to its model m, and checks that the
-// pulse left its PoE's memo tagged with its width and holding the
-// permutation indices of the reference sums at the levels it found (the
-// model's), so a memo reused across a changed complement cell fails even
-// though the tracker invariant still holds, and that the memo is sound
-// (memoErr).
+// pulseErr applies one pulse to x and to its model m and checks that it
+// voided x's train record and left x sound against m (trackerErr).
 func pulseErr(x *Crossbar, cal *Calibration, m cellModel, poe Cell, class int) error {
 	if err := x.ApplyPulse(cal, poe, class); err != nil {
 		return err
 	}
-	pi := cal.poeIndex(poe)
-	pc := &cal.poes[pi]
-	width := class % device.NumWidths
-	_, tag, idx := trackedState(x, pc)
-	if want := refPerms(pc, pi, width, m); !slices.Equal(idx, want) {
-		return fmt.Errorf("pulse at %+v used permutation indices %v, reference at the levels it found %v", poe, idx, want)
-	}
 	m.pulse(cal, poe, class)
-	if want := uint8(width + 1); tag != want {
-		return fmt.Errorf("pulse at %+v left memo tag %#x, want %#x", poe, tag, want)
+	if x.rec.cal != nil {
+		return fmt.Errorf("pulse at %+v left a train record", poe)
 	}
-	return memoErr(x, pi, pc)
+	return trackerErr(x, cal, m)
 }
 
-// memoErr checks a PoE's memo: when its tag names a width, the memoized
-// indices equal permIndex recomputed under that width from the reference
-// sums at the packed words the memo was derived at.
-func memoErr(x *Crossbar, pi int, pc *poeCal) error {
-	words, tag, idx := trackedState(x, pc)
-	if tag == 0 {
+// train runs sc over poes on x through Train, and its pulses on the
+// model m, and fails t unless x stays sound against m; it returns whether
+// the train restored.
+func train(t testing.TB, x *Crossbar, cal *Calibration, m cellModel, poes []Cell, sc schedule, inverse bool) bool {
+	t.Helper()
+	restored, err := trainErr(x, cal, m, poes, sc, inverse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restored
+}
+
+// trainErr is train's body: it also checks that the train left a record
+// of itself.
+func trainErr(x *Crossbar, cal *Calibration, m cellModel, poes []Cell, sc schedule, inverse bool) (bool, error) {
+	restored, err := x.Train(cal, poes, sc.order, sc.classes, inverse)
+	if err != nil {
+		return false, err
+	}
+	m.train(cal, poes, sc, inverse)
+	if !x.rec.matches(cal, poes, sc.order, sc.classes, inverse, len(x.packed)) {
+		return false, fmt.Errorf("train (inverse %v) left no record of itself", inverse)
+	}
+	return restored, trackerErr(x, cal, m)
+}
+
+// train models Train: the forward pulses in step order, or the inverse
+// pulses in reverse step order.
+func (m cellModel) train(cal *Calibration, poes []Cell, sc schedule, inverse bool) {
+	if inverse {
+		for s := len(sc.order) - 1; s >= 0; s-- {
+			m.pulse(cal, poes[sc.order[s]], InverseClass(sc.classes[s]))
+		}
+		return
+	}
+	for s, o := range sc.order {
+		m.pulse(cal, poes[o], sc.classes[s])
+	}
+}
+
+// checkTracker fails t unless trackerErr finds x sound.
+func checkTracker(t testing.TB, x *Crossbar, cal *Calibration, m cellModel) {
+	t.Helper()
+	if err := trackerErr(x, cal, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// trackerErr checks the train record invariant: x's levels equal its
+// model m and its packed words are the reference packing of them (so the
+// padding bits past the last cell are zero), and a live record is sound
+// (recordErr).
+func trackerErr(x *Crossbar, cal *Calibration, m cellModel) error {
+	if lv := x.Levels(); !slices.Equal(lv, m) {
+		return fmt.Errorf("levels %v do not match the per-cell model %v", lv, m)
+	}
+	if want := packLevels(m); !slices.Equal(x.packed, want) {
+		return fmt.Errorf("packed words %x, want %x", x.packed, want)
+	}
+	return recordErr(x)
+}
+
+// recordErr checks x's train record against the reference, by running the
+// train that undoes the recorded one on a copy of x's levels: each step
+// must find, at the levels it meets, reference permutation indices equal
+// to the recorded ones, and undoing an inverse train must end at the start
+// words it recorded. That is what makes the next opposite train's reuse of
+// the indices, or its restore, exact.
+func recordErr(x *Crossbar) error {
+	r := &x.rec
+	if r.cal == nil {
 		return nil
 	}
-	width := int(tag) - 1
-	if want := refPerms(pc, pi, width, unpackLevels(words, x.Cfg.Cells())); !slices.Equal(idx, want) {
-		return fmt.Errorf("PoE slot %d width %d: memoized indices %v, recomputed %v", pc.slot, width, idx, want)
+	cal, n := r.cal, r.steps
+	lv := cellModel(x.Levels())
+	pis, classes, idx := recordSteps(x)
+	check := func(s int) error {
+		pc := &cal.poes[pis[s]]
+		if want := refPerms(pc, pis[s], classes[s]%device.NumWidths, lv); !slices.Equal(idx[s], want) {
+			return fmt.Errorf("record step %d (inverse %v) holds indices %v, reference at the levels it meets %v", s, r.inverse, idx[s], want)
+		}
+		return nil
+	}
+	if !r.inverse {
+		for s := n - 1; s >= 0; s-- {
+			if err := check(s); err != nil {
+				return err
+			}
+			lv.pulse(cal, cal.cfg.CellAt(pis[s]), InverseClass(classes[s]))
+		}
+		return nil
+	}
+	for s := 0; s < n; s++ {
+		if err := check(s); err != nil {
+			return err
+		}
+		lv.pulse(cal, cal.cfg.CellAt(pis[s]), classes[s])
+	}
+	start := make([]uint64, len(x.packed))
+	for w := range start {
+		start[w] = binary.LittleEndian.Uint64(r.buf[8*w:])
+	}
+	if want := packLevels(lv); !slices.Equal(start, want) {
+		return fmt.Errorf("record start words %x, undoing the inverse train gives %x", start, want)
 	}
 	return nil
+}
+
+// recordSteps decodes x's train record: per step, the PoE's linear index,
+// the forward class and the recorded permutation indices.
+func recordSteps(x *Crossbar) (pis, classes []int, idx [][]uint8) {
+	r := &x.rec
+	sigma := r.buf[8*len(x.packed):]
+	off := 8*len(x.packed) + 3*r.steps
+	for s := 0; s < r.steps; s++ {
+		pi := int(binary.LittleEndian.Uint16(sigma[3*s:]))
+		ns := len(r.cal.poes[pi].shape)
+		pis, classes = append(pis, pi), append(classes, int(sigma[3*s+2]))
+		idx = append(idx, r.buf[off:off+ns])
+		off += ns
+	}
+	return pis, classes, idx
 }
 
 // refPerms returns the permutation index of each shape cell of the PoE
@@ -269,56 +348,6 @@ func refPerms(pc *poeCal, pi, width int, levels []int) []uint8 {
 		out[k] = uint8(permIndex(width, pc.mixer(pi, k, d), int(pc.shapeIdx[k])))
 	}
 	return out
-}
-
-// checkTracker fails t unless trackerErr finds x's tracker sound.
-func checkTracker(t testing.TB, x *Crossbar, cal *Calibration, m cellModel) {
-	t.Helper()
-	if err := trackerErr(x, cal, m); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// trackerErr checks the tracker invariant without looking anything up:
-// x's levels equal its model m and its packed words are the reference
-// packing of them (so the padding bits past the last cell are zero), and
-// every held memo is sound (memoErr).
-func trackerErr(x *Crossbar, cal *Calibration, m cellModel) error {
-	if lv := x.Levels(); !slices.Equal(lv, m) {
-		return fmt.Errorf("levels %v do not match the per-cell model %v", lv, m)
-	}
-	if want := packLevels(m); !slices.Equal(x.packed, want) {
-		return fmt.Errorf("packed words %x, want %x", x.packed, want)
-	}
-	for _, pi := range livePoEs(x, cal) {
-		if err := memoErr(x, pi, &cal.poes[pi]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// lookupAll fails t unless lookupErr finds every live PoE exact.
-func lookupAll(t testing.TB, x *Crossbar, cal *Calibration) {
-	t.Helper()
-	if err := lookupErr(x, cal); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// lookupErr looks up every live PoE's permutation indices at its memo's
-// width and x's current levels, and checks each against the reference.
-func lookupErr(x *Crossbar, cal *Calibration) error {
-	lv := x.Levels()
-	for _, pi := range livePoEs(x, cal) {
-		pc := &cal.poes[pi]
-		_, tag, _ := trackedState(x, pc)
-		width := int(tag) - 1
-		if got, want := x.trk.perms(pc, pi, width, x), refPerms(pc, pi, width, lv); !slices.Equal(got, want) {
-			return fmt.Errorf("PoE slot %d: looked-up indices %v, reference %v", pc.slot, got, want)
-		}
-	}
-	return nil
 }
 
 // deviationsRef is the reference scratch kernel: the plain double loop over

@@ -69,12 +69,12 @@ func permIndex(width int, mixer uint64, cellIdx int) int {
 // (>= 16) apply the inverse permutation of their positive counterpart —
 // the hysteresis-matched decrypt pulse.
 //
-// The calibration may be shared across crossbars and goroutines; the
-// crossbar itself (levels, wear, tracker) must be externally serialized, as
-// before. While no cell outside the polyomino changed since the PoE's last
-// pulse, a pulse of the same width reuses that pulse's permutation
-// indices; otherwise the sneak-voltage deviations feeding the permutation
-// choice are summed afresh from the packed levels (devTracker.perms).
+// It is the single-pulse primitive: the sneak-voltage deviations feeding
+// the permutation choice are summed afresh from the packed levels on every
+// call, and the crossbar's train record is voided. Whole keyed sequences
+// go through Train. The calibration may be shared across crossbars and
+// goroutines; the crossbar itself (levels, wear, train record) must be
+// externally serialized.
 func (x *Crossbar) ApplyPulse(cal *Calibration, poe Cell, class int) error {
 	if class < 0 || class >= device.NumPulses {
 		return fmt.Errorf("xbar: pulse class %d out of range", class)
@@ -85,32 +85,52 @@ func (x *Crossbar) ApplyPulse(cal *Calibration, poe Cell, class int) error {
 	if err := cal.ensure(poe); err != nil {
 		return err
 	}
-	pidx := cal.poeIndex(poe)
-	pc := &cal.poes[pidx]
-	t := x.tracker(cal)
+	x.rec.forget()
+	pi := cal.poeIndex(poe)
+	x.pulse(&cal.poes[pi], pi, class, nil, true)
+	return nil
+}
+
+// pulse applies one pulse of the class at the PoE calibrated by pc (linear
+// index pi): every shape cell k maps its level through permutation idx[k],
+// or its inverse for a negative class, and takes one pulse of wear. When
+// derive is set the indices are first derived from the dense sums at the
+// current levels, into idx unless it is nil. An attached trace sink is fed
+// the pre-pulse sums either way.
+func (x *Crossbar) pulse(pc *poeCal, pi, class int, idx []uint8, derive bool) {
 	width := class % device.NumWidths
 	negative := class >= device.NumWidths
+	var sums []int64
+	if derive || x.trace != nil {
+		sums = x.rec.sumsAt(pc, x.packed)
+	}
 	if x.trace != nil {
 		// The supply-rail observable is defined by the pre-pulse operating
 		// point: the sneak voltages the driver sustains while the cells
 		// drift, summed here before any level changes.
-		x.emitTrace(pc, t.sumsAt(pc, x), width, negative)
+		x.emitTrace(pc, sums, width, negative)
 	}
-	pis := t.perms(pc, pidx, width, x)
 	for k, ci := range pc.shapeIdx {
 		i := int(ci)
-		pi := pis[k]
+		var p uint8
+		if derive {
+			p = uint8(permIndex(width, pc.mixer(pi, k, sums[k]), i))
+			if idx != nil {
+				idx[k] = p
+			}
+		} else {
+			p = idx[k]
+		}
 		old := x.level(i)
-		nl := perms[pi][old]
+		nl := perms[p][old]
 		if negative {
-			nl = invPerms[pi][old]
+			nl = invPerms[p][old]
 		}
 		if nl != old {
 			x.setLevel(i, nl)
 		}
 		x.wear[i]++
 	}
-	return nil
 }
 
 // checkCal reports an error unless cal was built for the crossbar's
