@@ -45,33 +45,52 @@ go build -o "$tmpdir/spe-sim" ./cmd/spe-sim
 # efficiency, speedup_vs_w1 / min(workers, nproc), of
 # BenchmarkSPECUEncryptBatch at -cpu $(nproc): 1.0 is perfect scaling and
 # 1/nproc no parallelism at all, so one threshold holds on any core count.
-# 0.6 does not sit below every sample on a shared 2-vCPU host at
-# -benchtime 200x (20x was too noisy to gate): 3 of the 16 matrix runs
-# EXPERIMENTS.md records from before the permutation memo read 0.402-0.582
-# at workers 4 or 8, and the gate failed on host noise there. 12
-# standalone runs with the memo read 0.631-1.142. The threshold still sits
-# above the 0.5 a 2-vCPU run scores with no parallel speedup.
+# One 200x matrix run (about 2 s) is too noisy to gate on a shared 2-vCPU
+# host, so the matrix runs 11 times and the gate asserts the upper
+# quartile of each of workers 4 and 8's per-run efficiency against 0.6,
+# which still sits above the 0.5 a 2-vCPU run scores with no parallel
+# speedup. Host contention only slows runs, and it slows the two-worker
+# runs more than the one-worker reference, so it pulls the efficiency down;
+# the upper quartile reads the uncontended runs and still discards the
+# luckiest quarter. On an unchanged tree the per-run efficiency centres
+# near 0.62 on this host, so a median misfires about every other gate
+# (6 of 12 A/A runs of a median of 7), while a serialized batch path
+# centres near 0.5. Measured (EXPERIMENTS.md "Per-PoE pulse counters"):
+# this gate failed 2 of 12 A/A runs on an unchanged tree, a false-alarm
+# rate of about 17%, both in stretches where the host gave the two-worker
+# runs well under two CPUs; a mutant that serializes the batch path
+# failed 6 of 6, at workers-4 upper quartiles of 0.533-0.598.
+# The first run's report feeds the archive diff below.
 # sched.Workers clamps to the host's CPUs (NumCPU and the cgroup quota),
 # so on a single-vCPU host real runs get one worker and the batch path
 # takes its inline fast path by design; the assertion is skipped there
 # rather than asserted vacuously, and the matrix itself still runs,
 # catching functional regressions.
 ncpu=$(nproc)
-go test ./internal/core -run xxx -bench 'BenchmarkSPECU(ShardedRead|EncryptBatch)' \
-	-benchtime 200x -benchmem -cpu "1,$ncpu" \
-	| go run ./cmd/benchjson -require 12 -o "$tmpdir/batch_matrix.json"
+matrix_runs=11
+for k in $(seq 1 "$matrix_runs"); do
+	go test ./internal/core -run xxx -bench 'BenchmarkSPECU(ShardedRead|EncryptBatch)' \
+		-benchtime 200x -benchmem -cpu "1,$ncpu" \
+		| go run ./cmd/benchjson -require 12 -o "$tmpdir/batch_matrix_$k.json"
+done
+cp "$tmpdir/batch_matrix_1.json" "$tmpdir/batch_matrix.json"
 if [ "$ncpu" -gt 1 ]; then
 	python3 -c '
-import json, sys
-rep = json.load(open(sys.argv[1]))
-ncpu = int(sys.argv[2])
-ratios = {r["name"]: r["extra"]["speedup_vs_w1"]
-          for r in rep["results"] if "speedup_vs_w1" in r.get("extra", {})}
-for w in (4, 8):
-    name = "BenchmarkSPECUEncryptBatch/workers=%d-%d" % (w, ncpu)
-    eff = ratios.get(name, 0.0) / min(w, ncpu)
-    assert eff >= 0.6, (name, "parallel efficiency", eff, ratios)
-' "$tmpdir/batch_matrix.json" "$ncpu"
+import json, statistics, sys
+ncpu = int(sys.argv[1])
+effs = {4: [], 8: []}
+for path in sys.argv[2:]:
+    rep = json.load(open(path))
+    ratios = {r["name"]: r["extra"]["speedup_vs_w1"]
+              for r in rep["results"] if "speedup_vs_w1" in r.get("extra", {})}
+    for w in effs:
+        name = "BenchmarkSPECUEncryptBatch/workers=%d-%d" % (w, ncpu)
+        effs[w].append(ratios.get(name, 0.0) / min(w, ncpu))
+for w, e in effs.items():
+    q3 = statistics.quantiles(e, n=4, method="inclusive")[2]
+    print("ci: EncryptBatch workers=%d parallel efficiency upper quartile %.3f of %s" % (w, q3, ["%.3f" % v for v in sorted(e)]))
+    assert q3 >= 0.6, ("workers", w, "upper-quartile parallel efficiency", q3, e)
+' "$ncpu" $(seq -f "$tmpdir/batch_matrix_%g.json" 1 "$matrix_runs")
 else
 	echo "ci: 1 vCPU; skipping batch parallel-efficiency assertion (workers clamp to one)"
 fi

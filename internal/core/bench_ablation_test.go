@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"snvmm/internal/telemetry"
@@ -9,25 +10,32 @@ import (
 )
 
 // Telemetry ablation: the same single-goroutine SPECU overwrite path (the
-// write phase plus one block encrypt of new data) with instrumentation
-// detached versus attached. The "off" variant is the number that must stay
-// glued to the cost of the encrypt itself — the disabled fast path is one
-// atomic load and a branch per call site — and the on/off delta bounds the
-// full enabled cost (two clock reads plus a handful of padded atomic
-// updates per operation, against a pulse sequence of tens of µs). Both run under the make-bench
-// 'BenchmarkSPECU' pattern so the pair is archived in BENCH_specu.json.
+// write phase plus one block encrypt of data the block did not hold) with
+// instrumentation detached versus attached. The "off" variant is the
+// number that must stay glued to the cost of the encrypt itself — the
+// disabled fast path is one atomic load and a branch per call site — and
+// the on/off delta bounds the full enabled cost (two clock reads plus a
+// handful of padded atomic updates per operation, against a pulse
+// sequence of tens of µs). Both run under the make-bench 'BenchmarkSPECU'
+// pattern so the pair is archived in BENCH_specu.json.
 
-// benchAblationWrite drives b.N overwrites of s's encrypted blocks.
+// benchAblationWrite drives b.N overwrites of s's encrypted blocks, cycling
+// through the blocks and, one pass over them at a time, through four
+// distinct random 64-byte blocks of data (as BenchmarkTrain/overwrite
+// does): every write brings a block data other than what it holds, so no
+// cache of a block's last train can turn its encrypt into a hit.
 func benchAblationWrite(b *testing.B, s *SPECU, addrs []uint64) {
 	b.Helper()
-	data := make([]byte, BlockSize)
+	rng := rand.New(rand.NewSource(5))
+	data := make([][]byte, 4)
 	for i := range data {
-		data[i] = byte(i * 7)
+		data[i] = make([]byte, BlockSize)
+		rng.Read(data[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.Write(addrs[i%len(addrs)], data); err != nil {
+		if err := s.Write(addrs[i%len(addrs)], data[i/len(addrs)%len(data)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"snvmm/internal/prng"
@@ -140,9 +141,11 @@ func TestFlushRestoresReadCiphertext(t *testing.T) {
 // TestNoPlaintextOutsideArray checks that once a block holds ciphertext,
 // no host-side buffer reachable from it holds any of its plaintext: not
 // the crossbars' train records (schedule, permutation indices, saved
-// ciphertext), their scratch, nor the block's schedules. It runs at 8x8
-// and 16x16 after Write -> PowerOff, after Parallel reads (read-throughs)
-// and after Serial reads (in-place decrypts) followed by a flush. Each
+// ciphertext), their scratch, their wear tables, nor the block's
+// schedules; the walk must reach every crossbar's wear table. It runs at
+// 8x8 and 16x16 after Write -> PowerOff, after Parallel reads
+// (read-throughs) and after Serial reads (in-place decrypts) followed by
+// a flush. Each
 // crossbar's plaintext is searched for in every reachable numeric buffer
 // (heldBuffers) both as the data bytes it stores and as its packed level
 // words.
@@ -222,6 +225,16 @@ func TestNoPlaintextOutsideArray(t *testing.T) {
 // is the bitwise NOT of the matching packed byte).
 func plaintextHeld(b *Block, data []byte) error {
 	bufs := heldBuffers(reflect.ValueOf(b), map[uintptr]bool{}, nil)
+	for i, xb := range b.xbs {
+		tab := reflect.ValueOf(xb).Elem().FieldByName("pulses").FieldByName("tab")
+		if tab.Len() == 0 {
+			return fmt.Errorf("crossbar %d of an encrypted block has no wear table", i)
+		}
+		want := heldBuffers(tab, map[uintptr]bool{}, nil)[0]
+		if !slices.ContainsFunc(bufs, func(buf []byte) bool { return bytes.Equal(buf, want) }) {
+			return fmt.Errorf("the walk does not reach crossbar %d's wear table", i)
+		}
+	}
 	per := b.bytesPerXbar()
 	for i := range b.xbs {
 		share := data[i*per : (i+1)*per]

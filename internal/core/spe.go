@@ -368,9 +368,7 @@ func (b *Block) readThroughLoaded(tc trace.Context) ([]byte, error) {
 func (b *Block) Wear() uint64 {
 	var total uint64
 	for _, xb := range b.xbs {
-		for _, w := range xb.Wear() {
-			total += w
-		}
+		total += xb.TotalWear()
 	}
 	return total
 }

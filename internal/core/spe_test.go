@@ -215,6 +215,48 @@ func TestBlockWearGrows(t *testing.T) {
 	}
 }
 
+// TestBlockWearSumsCrossbarWear checks that a block's total wear, which
+// is computed from each crossbar's program and PoE counts without a
+// per-cell copy, equals the sum of its crossbars' per-cell Wear, at 8x8
+// and 16x16, after writes, encrypts, decrypts, the encrypt that restores
+// a decrypt, and a re-key.
+func TestBlockWearSumsCrossbarWear(t *testing.T) {
+	for _, e := range equivEngines(t) {
+		b, err := e.NewBlock(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(round int, step string) {
+			t.Helper()
+			var want uint64
+			for _, w := range blockWear(b) {
+				want += w
+			}
+			if got := b.Wear(); got != want {
+				t.Fatalf("%dx%d round %d after %s: Wear() = %d, the crossbars' per-cell wear sums to %d",
+					e.P.Xbar.Rows, e.P.Xbar.Cols, round, step, got, want)
+			}
+		}
+		check(0, "fabrication")
+		keys := []prng.Key{prng.NewKey(3, 4), prng.NewKey(5, 6)}
+		for round, key := range []prng.Key{keys[0], keys[0], keys[1]} {
+			if err := b.WritePlain(batchPayload(round)); err != nil {
+				t.Fatal(err)
+			}
+			check(round, "write")
+			for _, step := range []struct {
+				name string
+				run  func(prng.Key, uint64) error
+			}{{"encrypt", b.Encrypt}, {"decrypt", b.Decrypt}, {"restoring encrypt", b.Encrypt}, {"decrypt", b.Decrypt}} {
+				if err := step.run(key, 7); err != nil {
+					t.Fatal(err)
+				}
+				check(round, step.name)
+			}
+		}
+	}
+}
+
 func TestSubKeyDistinct(t *testing.T) {
 	k := prng.NewKey(0xABC, 0xDEF)
 	seen := map[prng.Key]bool{}

@@ -13,7 +13,7 @@ type Crossbar struct {
 	Cfg    Config
 	params []device.Params // per-cell (fabrication-varied) parameters; read-only, shared when unvaried
 	packed []uint64        // per-cell MLC level, row-major, 2 bits per cell, 32 cells per word
-	wear   []uint64        // per-cell pulse count, for endurance studies
+	pulses wearState       // pulse wear, per PoE, for endurance studies
 	rec    trainRecord     // the last pulse train, for Train
 	trace  *traceState     // optional per-pulse side-channel sink (nil = off)
 }
@@ -28,7 +28,6 @@ func New(cfg Config) (*Crossbar, error) {
 		Cfg:    cfg,
 		params: cfg.cellParams(),
 		packed: make([]uint64, (n+31)/32),
-		wear:   make([]uint64, n),
 	}, nil
 }
 
@@ -85,13 +84,6 @@ func packInto(dst []uint64, levels []int) (changed bool) {
 	return changed
 }
 
-// Wear returns a copy of the per-cell pulse counts.
-func (x *Crossbar) Wear() []uint64 {
-	out := make([]uint64, len(x.wear))
-	copy(out, x.wear)
-	return out
-}
-
 // BlockBytes is the data capacity of one crossbar in bytes: each cell stores
 // 2 bits, row-major, least-significant pair first within a byte.
 func (x *Crossbar) BlockBytes() int { return x.Cfg.Cells() / 4 }
@@ -120,9 +112,7 @@ func (x *Crossbar) WriteBlock(data []byte) error {
 	if diff != 0 {
 		x.rec.forget()
 	}
-	for i := range x.wear {
-		x.wear[i]++
-	}
+	x.pulses.programs++
 	return nil
 }
 

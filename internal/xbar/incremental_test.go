@@ -288,7 +288,7 @@ func recordErr(x *Crossbar) error {
 	if r.cal == nil {
 		return nil
 	}
-	cal, n := r.cal, r.steps
+	cal, n := r.cal, int(r.steps)
 	lv := cellModel(x.Levels())
 	pis, classes, idx := recordSteps(x)
 	check := func(s int) error {
@@ -328,8 +328,8 @@ func recordErr(x *Crossbar) error {
 func recordSteps(x *Crossbar) (pis, classes []int, idx [][]uint8) {
 	r := &x.rec
 	sigma := r.buf[8*len(x.packed):]
-	off := 8*len(x.packed) + 3*r.steps
-	for s := 0; s < r.steps; s++ {
+	off := 8*len(x.packed) + 3*int(r.steps)
+	for s := 0; s < int(r.steps); s++ {
 		pi := int(binary.LittleEndian.Uint16(sigma[3*s:]))
 		ns := len(r.cal.poes[pi].shape)
 		pis, classes = append(pis, pi), append(classes, int(sigma[3*s+2]))

@@ -88,12 +88,14 @@ func (x *Crossbar) ApplyPulse(cal *Calibration, poe Cell, class int) error {
 	x.rec.forget()
 	pi := cal.poeIndex(poe)
 	x.pulse(&cal.poes[pi], pi, class, nil, true)
+	x.pulses.bind(cal, nil)
+	x.pulses.charge(pi)
 	return nil
 }
 
 // pulse applies one pulse of the class at the PoE calibrated by pc (linear
 // index pi): every shape cell k maps its level through permutation idx[k],
-// or its inverse for a negative class, and takes one pulse of wear. When
+// or its inverse for a negative class; the caller charges the wear. When
 // derive is set the indices are first derived from the dense sums at the
 // current levels, into idx unless it is nil. An attached trace sink is fed
 // the pre-pulse sums either way.
@@ -129,16 +131,18 @@ func (x *Crossbar) pulse(pc *poeCal, pi, class int, idx []uint8, derive bool) {
 		if nl != old {
 			x.setLevel(i, nl)
 		}
-		x.wear[i]++
 	}
 }
 
 // checkCal reports an error unless cal was built for the crossbar's
-// geometry.
+// geometry and the crossbar is small enough to pulse (maxPulseCells).
 func (x *Crossbar) checkCal(cal *Calibration) error {
 	if cal.cfg.Rows != x.Cfg.Rows || cal.cfg.Cols != x.Cfg.Cols {
 		return fmt.Errorf("xbar: calibration geometry %dx%d does not match crossbar %dx%d",
 			cal.cfg.Rows, cal.cfg.Cols, x.Cfg.Rows, x.Cfg.Cols)
+	}
+	if cells := x.Cfg.Cells(); cells > maxPulseCells {
+		return fmt.Errorf("xbar: a pulse names at most %d cells, crossbar has %d", maxPulseCells, cells)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package xbar
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"snvmm/internal/device"
 )
@@ -27,7 +28,7 @@ import (
 //
 //   - a forward train after the inverse train of the same σ writes back
 //     the words that train started from (the ciphertext it decrypted) and
-//     charges the wear its pulses would have;
+//     charges each step's PoE the pulse it would have taken;
 //   - an inverse train after the forward train of the same σ pulses with
 //     the recorded indices and sums nothing;
 //   - any other train derives each step's indices from the dense sums
@@ -52,21 +53,23 @@ import (
 //     with S shape cells, in step order (perms has 24 entries, so a byte
 //     holds one).
 //
-// cal is nil when there is no record. sums is the scratch the dense kernel
+// cal is nil when there is no record; steps is an int32 so it and the
+// inverse flag share one word, which keeps a Crossbar in 352 bytes. sums is the scratch the dense kernel
 // writes into, sized by each recording train for its largest polyomino.
 // The record is owned by the crossbar and shares its (externally
 // serialized) mutation discipline.
 type trainRecord struct {
 	cal     *Calibration
-	steps   int
+	steps   int32
 	inverse bool
 	buf     []byte
 	sums    []int64
 }
 
-// maxTrainCells bounds the geometries a train can record: σ holds a PoE's
-// cell index in 16 bits.
-const maxTrainCells = 1 << 16
+// maxPulseCells bounds the geometries that can be pulsed: the train
+// record's σ and the wear table hold a PoE's cell index in 16 bits, and
+// the table keeps the last value, 0xFFFF, for a free entry.
+const maxPulseCells = 1<<16 - 1
 
 // forget voids the record: the crossbar's cells changed outside a train.
 func (r *trainRecord) forget() { r.cal = nil }
@@ -96,7 +99,7 @@ func (r *trainRecord) sumsAt(pc *poeCal, words []uint64) []int64 {
 // A forward train that follows the inverse train of the same σ, with no
 // cell changed in between, writes back the levels that train started from
 // instead of pulsing — the forward train rebuilds them exactly — charges
-// each step's shape cells one pulse of wear, and reports restored. When a
+// each step's PoE one pulse of wear, and reports restored. When a
 // trace sink is attached it pulses with the recorded indices instead, so
 // every pulse is observed. See the package's train record for the other
 // cases.
@@ -108,8 +111,8 @@ func (x *Crossbar) Train(cal *Calibration, poes []Cell, order, classes []int, in
 	if err := x.checkCal(cal); err != nil {
 		return false, err
 	}
-	if len(x.wear) > maxTrainCells {
-		return false, fmt.Errorf("xbar: a train records at most %d cells, crossbar has %d", maxTrainCells, len(x.wear))
+	if n > math.MaxInt32 {
+		return false, fmt.Errorf("xbar: a train records at most %d steps, got %d", math.MaxInt32, n)
 	}
 	// hit: the record holds this σ, run in the opposite direction. Its
 	// steps were checked by the train that recorded them.
@@ -128,14 +131,14 @@ func (x *Crossbar) Train(cal *Calibration, poes []Cell, order, classes []int, in
 			}
 		}
 	}
+	x.pulses.bind(cal, poes)
 	if hit && !inverse && x.trace == nil {
 		for w := range x.packed {
 			x.packed[w] = binary.LittleEndian.Uint64(r.buf[8*w:])
 		}
-		for e := r.buf[8*nw:][:3*n]; len(e) > 0; e = e[3:] {
-			for _, i := range cal.poes[binary.LittleEndian.Uint16(e)].shapeIdx {
-				x.wear[i]++
-			}
+		sigma := r.buf[8*nw:]
+		for s, o := range order {
+			x.pulses.chargeAt(o, int(binary.LittleEndian.Uint16(sigma[3*s:])))
 		}
 		r.inverse = false
 		return true, nil
@@ -151,10 +154,12 @@ func (x *Crossbar) Train(cal *Calibration, poes []Cell, order, classes []int, in
 	idx := r.buf[8*nw+3*n:]
 	if inverse {
 		for s := n - 1; s >= 0; s-- {
-			pi := cal.poeIndex(poes[order[s]])
+			o := order[s]
+			pi := cal.poeIndex(poes[o])
 			pc := &cal.poes[pi]
 			at := idx[len(idx)-len(pc.shape):]
 			x.pulse(pc, pi, InverseClass(classes[s]), at, !hit)
+			x.pulses.chargeAt(o, pi)
 			idx = idx[:len(idx)-len(pc.shape)]
 		}
 	} else {
@@ -162,6 +167,7 @@ func (x *Crossbar) Train(cal *Calibration, poes []Cell, order, classes []int, in
 			pi := cal.poeIndex(poes[o])
 			pc := &cal.poes[pi]
 			x.pulse(pc, pi, classes[s], idx, !hit)
+			x.pulses.chargeAt(o, pi)
 			idx = idx[len(pc.shape):]
 		}
 	}
@@ -173,7 +179,7 @@ func (x *Crossbar) Train(cal *Calibration, poes []Cell, order, classes []int, in
 // holds σ = (poes[order[s]], classes[s]) per step under cal, run in
 // direction inverse.
 func (r *trainRecord) matches(cal *Calibration, poes []Cell, order, classes []int, inverse bool, nw int) bool {
-	if r.cal != cal || r.steps != len(order) || r.inverse != inverse {
+	if r.cal != cal || int(r.steps) != len(order) || r.inverse != inverse {
 		return false
 	}
 	sigma := r.buf[8*nw:][:3*len(order)]
@@ -214,5 +220,5 @@ func (r *trainRecord) record(cal *Calibration, poes []Cell, order, classes []int
 		binary.LittleEndian.PutUint16(e, uint16(cal.poeIndex(poes[o])))
 		e[2] = uint8(classes[s])
 	}
-	r.cal, r.steps = cal, n
+	r.cal, r.steps = cal, int32(n)
 }

@@ -252,8 +252,11 @@ func TestInverseTrainReusesPermutations(t *testing.T) {
 // at 8x8, 16x16 and 32x32: one buffer of the W packed words a decrypt
 // starts from, 3 bytes per step and the ΣS permutation indices, and a
 // sums scratch as long as the largest polyomino — nothing per PoE of the
-// calibration besides. A warm train, hit or miss, and a warm ApplyPulse
-// allocate nothing.
+// calibration besides. The wear table, sized by the crossbar's first
+// train, holds one count per PoE of the train and their 16-bit indices,
+// n + ceil(n/4) words (160 bytes for the 16 PoEs at 8x8), and no per-cell
+// base. A warm train, hit or miss, and a warm ApplyPulse allocate
+// nothing.
 func TestTrackerFootprint(t *testing.T) {
 	for _, size := range []int{8, 16, 32} {
 		x, err := New(sizedConfig(size, size))
@@ -281,6 +284,10 @@ func TestTrackerFootprint(t *testing.T) {
 		if r := &x.rec; len(r.buf) != 8*w+3*n+sumS || cap(r.buf) != len(r.buf) || len(r.sums) != maxS {
 			t.Fatalf("%dx%d: record holds %d (cap %d) bytes and %d sums, want 8·W + 3·n + ΣS = 8·%d + 3·%d + %d = %d and max S = %d",
 				size, size, len(r.buf), cap(r.buf), len(r.sums), w, n, sumS, 8*w+3*n+sumS, maxS)
+		}
+		if tab, want := x.pulses.tab, n+(n+3)/4; len(tab) != want || cap(tab) != want || x.pulses.base != nil {
+			t.Fatalf("%dx%d: wear table of %d (cap %d) words, want n + ceil(n/4) = %d and no per-cell base",
+				size, size, len(tab), cap(tab), want)
 		}
 		k := 0
 		for name, op := range map[string]func() error{

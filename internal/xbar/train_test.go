@@ -35,8 +35,8 @@ func twinErr(x, y *Crossbar) error {
 	if !slices.Equal(x.packed, y.packed) {
 		return fmt.Errorf("levels %x differ from the memo-free twin's %x", x.packed, y.packed)
 	}
-	if !slices.Equal(x.wear, y.wear) {
-		return fmt.Errorf("wear differs from the memo-free twin's")
+	if xw, yw := x.Wear(), y.Wear(); !slices.Equal(xw, yw) {
+		return fmt.Errorf("wear %v differs from the memo-free twin's %v", xw, yw)
 	}
 	return nil
 }
@@ -252,7 +252,7 @@ func TestTrainValidatesFirst(t *testing.T) {
 	poes := []Cell{{0, 0}, {2, 4}, {5, 1}, {7, 7}, {Row: 8, Col: 0}}
 	good := schedule{[]int{0, 1, 2, 3}, []int{3, 17, 8, 30}}
 	train(t, x, cal, m, poes, good, false)
-	packed, wear := slices.Clone(x.packed), slices.Clone(x.wear)
+	packed, wear := slices.Clone(x.packed), x.Wear()
 	for name, bad := range map[string]schedule{
 		"PoE position past the list":  {[]int{0, 1, 5}, []int{1, 2, 3}},
 		"negative PoE position":       {[]int{0, -1}, []int{1, 2}},
@@ -264,7 +264,7 @@ func TestTrainValidatesFirst(t *testing.T) {
 			if _, err := x.Train(cal, poes, bad.order, bad.classes, inverse); err == nil {
 				t.Fatalf("%s (inverse %v): train succeeded", name, inverse)
 			}
-			if !slices.Equal(x.packed, packed) || !slices.Equal(x.wear, wear) {
+			if !slices.Equal(x.packed, packed) || !slices.Equal(x.Wear(), wear) {
 				t.Fatalf("%s (inverse %v): failed train changed the crossbar", name, inverse)
 			}
 		}
@@ -328,18 +328,23 @@ func TestTracedTrainEmitsEveryPulse(t *testing.T) {
 }
 
 // TestTrainRejectsUnrecordableGeometry checks that a crossbar with more
-// cells than a record's 16-bit PoE index can name refuses to train,
-// before it touches anything.
+// cells than a 16-bit PoE index can name — the train record's and the
+// wear table's — refuses to train or take a pulse, before it touches
+// anything.
 func TestTrainRejectsUnrecordableGeometry(t *testing.T) {
 	x, err := New(sizedConfig(257, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x.Train(Calibrate(x), []Cell{{0, 0}}, []int{0}, []int{1}, false); err == nil {
+	cal := Calibrate(x)
+	if _, err := x.Train(cal, []Cell{{0, 0}}, []int{0}, []int{1}, false); err == nil {
 		t.Fatal("a 257x256 crossbar trained")
 	}
-	if x.rec.cal != nil || slices.ContainsFunc(x.wear, func(w uint64) bool { return w != 0 }) {
-		t.Fatal("the refused train changed the crossbar")
+	if err := x.ApplyPulse(cal, Cell{Row: 256, Col: 255}, 1); err == nil {
+		t.Fatal("a 257x256 crossbar took a pulse")
+	}
+	if x.rec.cal != nil || slices.ContainsFunc(x.Wear(), func(w uint64) bool { return w != 0 }) {
+		t.Fatal("the refused train or pulse changed the crossbar")
 	}
 }
 
