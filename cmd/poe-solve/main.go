@@ -5,7 +5,7 @@
 // Usage:
 //
 //	poe-solve -rows 8 -cols 8 -s 56
-//	poe-solve -rows 16 -cols 16 -s 0 -maxcover 2 -workers 8 -timeout 30s
+//	poe-solve -rows 16 -cols 16 -s 0 -maxcover 2 -timeout 30s
 //	poe-solve -rows 16 -cols 16 -json
 //
 // The exit status is non-zero only when no feasible placement exists (or the
@@ -35,7 +35,6 @@ var (
 	vertFlag    = flag.Int("vert", 4, "polyomino vertical reach")
 	horizFlag   = flag.Int("horiz", 1, "polyomino horizontal reach")
 	nodesFlag   = flag.Int("maxnodes", 200000, "branch-and-bound node limit")
-	workersFlag = flag.Int("workers", 0, "parallel solver workers (0 = GOMAXPROCS)")
 	timeoutFlag = flag.Duration("timeout", 0, "wall-clock limit (0 = none); best placement so far is printed on expiry")
 	jsonFlag    = flag.Bool("json", false, "emit the result as JSON on stdout")
 )
@@ -54,9 +53,8 @@ type jsonResult struct {
 	WallMS    float64     `json:"wall_ms"`
 	Stats     poe.Stats   `json:"coverage"`
 
-	// Work distribution of the parallel search, plus the full registry
-	// snapshot of the run (ilp.* instruments).
-	Steals           []int64             `json:"steals"`
+	// Incumbent improvements, plus the full registry snapshot of the run
+	// (ilp.* instruments).
 	IncumbentUpdates int64               `json:"incumbent_updates"`
 	Telemetry        *telemetry.Snapshot `json:"telemetry,omitempty"`
 }
@@ -80,7 +78,7 @@ func main() {
 	start := time.Now()
 	res, err := poe.SolveContext(ctx, poe.Spec{
 		Cfg: cfg, S: *sFlag, MaxCover: *coverFlag,
-		MaxNodes: *nodesFlag, Workers: *workersFlag,
+		MaxNodes:  *nodesFlag,
 		Telemetry: reg,
 	})
 	wall := time.Since(start)
@@ -96,10 +94,10 @@ func main() {
 			Rows: cfg.Rows, Cols: cfg.Cols, S: *sFlag, MaxCover: *coverFlag,
 			PoEs: res.PoEs, Optimal: res.Optimal,
 			Nodes: res.Nodes, BestBound: res.BestBound, Gap: res.Gap,
-			WallMS: float64(wall.Microseconds()) / 1000,
-			Stats:  st,
-			Steals: res.Steals, IncumbentUpdates: res.IncumbentUpdates,
-			Telemetry: &snap,
+			WallMS:           float64(wall.Microseconds()) / 1000,
+			Stats:            st,
+			IncumbentUpdates: res.IncumbentUpdates,
+			Telemetry:        &snap,
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

@@ -23,8 +23,8 @@ var (
 
 	// The placement is the canonical (lexicographically smallest by
 	// row-major cell index, preferring NOT selecting earlier cells)
-	// optimal solution — the solver guarantees this vector for any worker
-	// count and any search order, which is what lets it be pinned at all.
+	// optimal solution — the solver guarantees this vector for any search
+	// order, which is what lets it be pinned at all.
 	goldenPlacement = []xbar.Cell{
 		{Row: 0, Col: 3}, {Row: 0, Col: 4}, {Row: 1, Col: 1}, {Row: 1, Col: 2},
 		{Row: 1, Col: 5}, {Row: 1, Col: 6}, {Row: 2, Col: 0}, {Row: 2, Col: 7},

@@ -5,10 +5,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
-	"snvmm/internal/sched"
 	"snvmm/internal/telemetry"
 	"snvmm/internal/telemetry/trace"
 )
@@ -24,41 +22,25 @@ type ILPOptions struct {
 	// Incumbent, if non-nil, is a known-feasible 0/1 assignment used as
 	// the initial upper bound (e.g. from a greedy heuristic).
 	Incumbent []float64
-	// Workers is the parallel search width; <= 0 means GOMAXPROCS.
-	Workers int
 	// Canonicalize runs a lexicographic-minimization pass after an optimal
 	// solve: the returned X is the unique optimal assignment that prefers
-	// x_j = 0 at every index in increasing order. This makes the solution
-	// vector reproducible run-to-run and across worker counts, at the cost
-	// of one bounded probe solve per support variable. Only meaningful with
-	// Gap == 0 (with a nonzero gap the accepted objective itself can vary).
+	// x_j = 0 at every index in increasing order, whichever optimum the
+	// search found first, at the cost of one bounded probe solve per
+	// support variable. Only meaningful with Gap == 0 (with a nonzero gap
+	// the accepted objective itself can vary).
 	Canonicalize bool
-	// Telemetry, if non-nil, receives live search instruments (ilp.* node,
-	// steal, and incumbent counters plus best-objective/frontier-bound
-	// gauges) and incumbent events. Purely observational: the search order,
-	// objective, and canonical vector are identical with or without it.
+	// Telemetry, if non-nil, receives live search instruments (ilp.* node
+	// and incumbent counters plus best-objective/frontier-bound gauges) and
+	// incumbent events. Purely observational: the search order, objective,
+	// and canonical vector are identical with or without it.
 	Telemetry *telemetry.Registry
-	// Tracer, if non-nil, records the solve as a causal trace: one
-	// ilp.solve root per SolveILP call with an ilp.worker child span per
-	// search goroutine (canonicalization probes reuse the same root, so a
-	// canonical solve renders as repeated worker waves under one solve).
-	// Observational only, like Telemetry.
+	// Tracer, if non-nil, records the solve as one ilp.solve root span per
+	// SolveILP call (canonicalization probes included). Observational only,
+	// like Telemetry.
 	Tracer *trace.Tracer
-
-	// traceCtx is the solve root's context, threaded to solveBB (and
-	// through canonicalize's probe solves) once SolveILPContext opens it.
-	traceCtx trace.Context
 }
 
-// Causal-trace call sites and the worker-lane block. ilpLaneBase keeps the
-// solver's per-worker lanes clear of the SPECU shard/fan and xbar warm
-// lanes when one tracer serves the whole process.
-var (
-	traceMetaILPSolve  = &trace.SpanMeta{Subsystem: "ilp", Name: "solve"}
-	traceMetaILPWorker = &trace.SpanMeta{Subsystem: "ilp", Name: "worker"}
-)
-
-const ilpLaneBase = 2000
+var traceMetaILPSolve = &trace.SpanMeta{Subsystem: "ilp", Name: "solve"}
 
 // fixStep records one branching decision: variable Var fixed to Val.
 type fixStep struct {
@@ -96,214 +78,126 @@ func (h *nodeHeap) Pop() interface{} {
 	return nd
 }
 
-// searcher is the shared state of one parallel branch-and-bound run.
+// searcher is the state of one branch-and-bound run.
 type searcher struct {
 	p        *Problem
 	ctx      context.Context
+	ws       *Workspace
 	maxNodes int64
 	gap      float64
 	integral bool
 	preFixes []fixStep // fixes applied at the root (canonicalization probes)
 	// target/stopAt implement bounded feasibility probes: nodes whose bound
-	// exceeds target are pruned, and the search closes as soon as an
+	// exceeds target are pruned, and the search stops as soon as an
 	// incumbent at or below stopAt is found. Both are +Inf/-Inf disabled in
 	// ordinary solves.
 	target float64
 	stopAt float64
 
-	mu         sync.Mutex
-	cond       *sync.Cond
 	frontier   nodeHeap
-	active     int
-	closed     bool
+	seq        int64
 	limit      bool
 	minDropped float64 // min bound among nodes abandoned on limit/cancel
-	seq        int64
+	nodes      int64
 
-	stop  atomic.Bool
-	nodes atomic.Int64
+	// stop ends the search: set by an incumbent at or below stopAt, or from
+	// the context's AfterFunc on cancellation. The workspace polls it too
+	// (Workspace.Stop), so cancellation interrupts an LP mid-solve.
+	stop atomic.Bool
 
-	incMu   sync.Mutex
-	incBits atomic.Uint64 // Float64bits of the incumbent objective; +Inf none
-	incX    []float64
+	incObj     float64 // incumbent objective; +Inf none
+	incX       []float64
+	incUpdates int64
 
-	tel        *ilpTel        // nil when telemetry is off
-	steals     []atomic.Int64 // per-worker frontier pops (len = workers)
-	incUpdates atomic.Int64
+	tel *ilpTel // nil when telemetry is off
 
 	varCons [][]int32 // var -> indices of constraints containing it
-}
-
-func (s *searcher) bestObj() float64 {
-	return math.Float64frombits(s.incBits.Load())
 }
 
 // cutoff is the pruning threshold: nodes whose bound is at or above it
 // cannot improve on the incumbent (within Gap), and nodes above target are
 // useless to a feasibility probe.
 func (s *searcher) cutoff() float64 {
-	c := s.bestObj() - 1e-7 - s.gap
+	c := s.incObj - 1e-7 - s.gap
 	if t := s.target + 1e-7; t < c {
 		c = t
 	}
 	return c
 }
 
-func (s *searcher) close() {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		s.stop.Store(true)
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
-}
-
 // tryIncumbent records x (already integral and feasible) if it beats the
-// current incumbent. Ties keep the first winner; Canonicalize restores
-// determinism of the final vector.
+// current incumbent. Ties keep the first winner; Canonicalize picks the
+// final vector.
 func (s *searcher) tryIncumbent(x []float64, obj float64) {
-	improved := false
-	s.incMu.Lock()
-	if obj < s.bestObj() {
+	if obj < s.incObj {
 		s.incX = append(s.incX[:0], x...)
-		s.incBits.Store(math.Float64bits(obj))
-		improved = true
-	}
-	s.incMu.Unlock()
-	if improved {
-		s.incUpdates.Add(1)
+		s.incObj = obj
+		s.incUpdates++
 		if t := s.tel; t != nil {
 			t.incumbents.Inc()
 			t.bestObj.Set(obj)
 			// A0 carries the new objective (integral for covering problems),
 			// A1 the node count at the moment of improvement — together the
 			// gap trajectory of the run.
-			t.scope.Event(t.incumbMu, int64(math.Round(obj)), s.nodes.Load())
+			t.scope.Event(t.incumbMu, int64(math.Round(obj)), s.nodes)
 		}
 	}
 	if obj <= s.stopAt+1e-7 {
-		s.close()
+		s.stop.Store(true)
 	}
 }
 
 // dropNode records the bound of a node abandoned unexplored, so the final
 // best-bound/gap report stays sound.
 func (s *searcher) dropNode(bound float64) {
-	s.mu.Lock()
 	if bound < s.minDropped {
 		s.minDropped = bound
 	}
-	s.mu.Unlock()
 }
 
-// take pops the best frontier node, blocking until one is available or the
-// search ends. It returns nil when the search is over. widx identifies the
-// calling worker for steal accounting: every frontier pop is work this
-// worker took from the shared pool rather than its own dive stack.
-func (s *searcher) take(widx int) *bbNode {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.closed {
-			return nil
+// run is the search loop: pop the best frontier node, then dive
+// depth-first from it, pushing the sibling of every branch onto the
+// frontier. Once the node budget is spent the frontier is drained, its
+// unpruned bounds recorded; cancellation or a probe hit stops the loop with
+// the rest of the frontier left open.
+func (s *searcher) run() {
+	for len(s.frontier) > 0 && !s.stop.Load() {
+		nd := heap.Pop(&s.frontier).(*bbNode)
+		if nd.bound >= s.cutoff() {
+			continue // pruned: the incumbent already covers it
 		}
-		if len(s.frontier) > 0 {
-			nd := heap.Pop(&s.frontier).(*bbNode)
-			if nd.bound >= s.cutoff() {
-				continue // pruned: the incumbent already covers it
-			}
-			if s.limit || s.nodes.Load() >= s.maxNodes {
-				s.limit = true
-				if nd.bound < s.minDropped {
-					s.minDropped = nd.bound
-				}
-				continue // drain, recording bounds
-			}
-			s.active++
-			s.steals[widx].Add(1)
-			if t := s.tel; t != nil {
-				t.steals.Inc()
-				if !math.IsInf(nd.bound, 0) { // root sentinel bound is -Inf
-					t.headBnd.Set(nd.bound)
-				}
-			}
-			return nd
+		if s.nodes >= s.maxNodes {
+			s.limit = true
+			s.dropNode(nd.bound)
+			continue
 		}
-		if s.active == 0 {
-			s.closed = true
-			s.stop.Store(true)
-			s.cond.Broadcast()
-			return nil
+		if t := s.tel; t != nil && !math.IsInf(nd.bound, 0) { // root sentinel bound is -Inf
+			t.headBnd.Set(nd.bound)
 		}
-		s.cond.Wait()
-	}
-}
-
-func (s *searcher) release() {
-	s.mu.Lock()
-	s.active--
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// offload pushes a node onto the shared frontier where an idle worker can
-// steal it.
-func (s *searcher) offload(nd *bbNode) {
-	s.mu.Lock()
-	s.seq++
-	nd.seq = s.seq
-	heap.Push(&s.frontier, nd)
-	s.cond.Signal()
-	s.mu.Unlock()
-}
-
-// worker runs the steal-and-dive loop: take the globally best open node,
-// then dive depth-first from it, offloading the sibling of every branch so
-// other workers can steal breadth while this one chases an incumbent.
-func (s *searcher) worker(widx int, ws *Workspace) {
-	local := make([]*bbNode, 0, 64)
-	for {
-		nd := s.take(widx)
-		if nd == nil {
-			return
-		}
-		local = append(local[:0], nd)
-		for len(local) > 0 {
-			n := local[len(local)-1]
-			local = local[:len(local)-1]
+		for n := nd; n != nil; {
 			if s.stop.Load() || s.ctx.Err() != nil {
 				s.dropNode(n.bound)
-				for _, r := range local {
-					s.dropNode(r.bound)
-				}
-				local = local[:0]
+				return
+			}
+			if s.nodes >= s.maxNodes {
+				s.limit = true
+				s.dropNode(n.bound)
 				break
 			}
+			s.nodes++
 			if t := s.tel; t != nil {
 				t.nodes.Inc()
 			}
-			if s.nodes.Add(1) > s.maxNodes {
-				s.mu.Lock()
-				s.limit = true
-				s.mu.Unlock()
-				s.dropNode(n.bound)
-				for _, r := range local {
-					s.dropNode(r.bound)
-				}
-				local = local[:0]
-				break
-			}
-			s.expand(n, ws, &local)
+			n = s.expand(n)
 		}
-		s.release()
 	}
 }
 
 // expand solves one node's relaxation and either prunes, records an
-// incumbent, or branches: the preferred child continues the dive on the
-// local stack, the sibling goes to the shared frontier.
-func (s *searcher) expand(n *bbNode, ws *Workspace, local *[]*bbNode) {
+// incumbent, or branches. It returns the child the dive continues with, or
+// nil when the node is closed.
+func (s *searcher) expand(n *bbNode) *bbNode {
+	ws := s.ws
 	ws.Reset()
 	for _, f := range s.preFixes {
 		ws.Fix(f.Var, f.Val)
@@ -314,25 +208,24 @@ func (s *searcher) expand(n *bbNode, ws *Workspace, local *[]*bbNode) {
 	rel := ws.SolveRelax()
 	switch rel.Status {
 	case Infeasible, Unbounded:
-		return
+		return nil
 	case LimitReached:
 		// The LP iteration cap hit: no bound is available, but skipping the
 		// node would make the search inexact. Branch blindly on the lowest
 		// free variable, keeping the parent bound.
 		for j := 0; j < s.p.NumVars; j++ {
 			if !ws.fixedMask[j] {
-				s.branch(n, j, 1, 0, n.bound, local)
-				return
+				return s.branch(n, j, 1, 0, n.bound)
 			}
 		}
-		return
+		return nil
 	}
 	bound := rel.Objective
 	if s.integral {
 		bound = math.Ceil(bound - 1e-7)
 	}
 	if bound >= s.cutoff() {
-		return
+		return nil
 	}
 	x := rel.X // aliases ws buffer; consumed before the next solve
 	branchVar, bestFrac := -1, -1.0
@@ -353,16 +246,16 @@ func (s *searcher) expand(n *bbNode, ws *Workspace, local *[]*bbNode) {
 		if feasible(s.p, cand) {
 			s.tryIncumbent(cand, objValue(s.p, cand))
 		}
-		return
+		return nil
 	}
 	// Rounding heuristic: a repaired rounding of the fractional optimum often
 	// lands near the LP bound, and a tight incumbent is what lets the search
 	// close the bound plateau instead of enumerating it. Never changes the
 	// final objective or the canonical vector — only how fast they're proven.
-	// Throttled per worker: diving re-solves move x little, so consecutive
-	// nodes round to near-identical candidates.
+	// Throttled per workspace: diving re-solves move x little, so
+	// consecutive nodes round to near-identical candidates.
 	if ws.heurTick++; ws.heurTick%8 == 1 {
-		if cand := s.roundRepair(ws, x); cand != nil {
+		if cand := s.roundRepair(x); cand != nil {
 			s.tryIncumbent(cand, objValue(s.p, cand))
 		}
 	}
@@ -372,7 +265,7 @@ func (s *searcher) expand(n *bbNode, ws *Workspace, local *[]*bbNode) {
 	if x[branchVar] < 0.3 {
 		first, second = 0.0, 1.0
 	}
-	s.branch(n, branchVar, first, second, bound, local)
+	return s.branch(n, branchVar, first, second, bound)
 }
 
 // conViolation measures how far activity a is outside constraint c.
@@ -406,8 +299,8 @@ func conViolation(c *Constraint, a float64) float64 {
 // canonicalization pre-fixes — are never flipped, so the candidate stays
 // consistent with any probe in flight. Once feasible, redundant positives
 // are trimmed in one pass. Returns nil when repair stalls.
-func (s *searcher) roundRepair(ws *Workspace, x []float64) []float64 {
-	p := s.p
+func (s *searcher) roundRepair(x []float64) []float64 {
+	p, ws := s.p, s.ws
 	cand := make([]float64, len(x))
 	for j, v := range x {
 		cand[j] = math.Round(v)
@@ -506,20 +399,23 @@ func (s *searcher) roundRepair(ws *Workspace, x []float64) []float64 {
 	return cand
 }
 
-// branch creates the two children of n fixing branchVar; the first child
-// continues this worker's dive, the second is offered to the frontier.
-func (s *searcher) branch(n *bbNode, branchVar int, first, second, bound float64, local *[]*bbNode) {
+// branch creates the two children of n fixing branchVar: the second goes
+// to the frontier, the first is returned for the dive to continue with.
+func (s *searcher) branch(n *bbNode, branchVar int, first, second, bound float64) *bbNode {
 	mk := func(v float64) *bbNode {
 		fixes := make([]fixStep, len(n.fixes), len(n.fixes)+1)
 		copy(fixes, n.fixes)
 		return &bbNode{fixes: append(fixes, fixStep{branchVar, v}), bound: bound}
 	}
-	s.offload(mk(second))
-	*local = append(*local, mk(first))
+	sib := mk(second)
+	s.seq++
+	sib.seq = s.seq
+	heap.Push(&s.frontier, sib)
+	return mk(first)
 }
 
-// solveBB runs the parallel search to completion and assembles the result.
-func solveBB(ctx context.Context, p *Problem, opt ILPOptions, pre []fixStep, target, stopAt float64, pool []*Workspace) (Solution, error) {
+// solveBB runs the search to completion on ws and assembles the result.
+func solveBB(ctx context.Context, p *Problem, opt ILPOptions, pre []fixStep, target, stopAt float64, ws *Workspace) (Solution, error) {
 	maxNodes := opt.MaxNodes
 	if maxNodes <= 0 {
 		maxNodes = 200000
@@ -527,6 +423,7 @@ func solveBB(ctx context.Context, p *Problem, opt ILPOptions, pre []fixStep, tar
 	s := &searcher{
 		p:          p,
 		ctx:        ctx,
+		ws:         ws,
 		maxNodes:   int64(maxNodes),
 		gap:        opt.Gap,
 		integral:   opt.IntegralObjective,
@@ -534,11 +431,9 @@ func solveBB(ctx context.Context, p *Problem, opt ILPOptions, pre []fixStep, tar
 		target:     target,
 		stopAt:     stopAt,
 		minDropped: math.Inf(1),
+		incObj:     math.Inf(1),
 		tel:        newILPTel(opt.Telemetry),
-		steals:     make([]atomic.Int64, len(pool)),
 	}
-	s.cond = sync.NewCond(&s.mu)
-	s.incBits.Store(math.Float64bits(math.Inf(1)))
 	s.varCons = make([][]int32, p.NumVars)
 	for ci := range p.Cons {
 		for _, t := range p.Cons[ci].Terms {
@@ -555,35 +450,10 @@ func solveBB(ctx context.Context, p *Problem, opt ILPOptions, pre []fixStep, tar
 	}
 	s.frontier = nodeHeap{{bound: math.Inf(-1)}}
 
-	// Wake blocked workers if the context dies mid-search.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				s.close()
-			case <-watchDone:
-			}
-		}()
-	}
+	ws.Stop = &s.stop // lets ctx expiry interrupt an LP mid-solve
+	defer context.AfterFunc(ctx, func() { s.stop.Store(true) })()
+	s.run()
 
-	var wg sync.WaitGroup
-	for i, ws := range pool {
-		ws.Stop = &s.stop // lets ctx expiry interrupt an LP mid-solve
-		wg.Add(1)
-		go func(i int, ws *Workspace) {
-			defer wg.Done()
-			// Worker span: A0 is the node count this worker stole from
-			// peers, A1 its index — one span per wave, on the worker's lane.
-			wsp := opt.traceCtx.WithLane(uint32(ilpLaneBase + i)).Start(traceMetaILPWorker)
-			s.worker(i, ws)
-			wsp.End(s.steals[i].Load(), int64(i))
-		}(i, ws)
-	}
-	wg.Wait()
-
-	s.mu.Lock()
 	openBound := s.minDropped
 	for _, nd := range s.frontier {
 		if nd.bound < openBound {
@@ -591,18 +461,9 @@ func solveBB(ctx context.Context, p *Problem, opt ILPOptions, pre []fixStep, tar
 		}
 	}
 	hitLimit := s.limit || ctx.Err() != nil
-	nodes := s.nodes.Load()
-	if nodes > s.maxNodes {
-		nodes = s.maxNodes
-	}
-	s.mu.Unlock()
 
-	obj := s.bestObj()
-	sol := Solution{Nodes: nodes, IncumbentUpdates: s.incUpdates.Load()}
-	sol.Steals = make([]int64, len(s.steals))
-	for i := range s.steals {
-		sol.Steals[i] = s.steals[i].Load()
-	}
+	obj := s.incObj
+	sol := Solution{Nodes: s.nodes, IncumbentUpdates: s.incUpdates}
 	if s.incX != nil {
 		sol.X = s.incX
 		sol.Objective = obj
@@ -637,11 +498,11 @@ func consistent(x []float64, pre []fixStep) bool {
 }
 
 // SolveILP solves the problem with all variables restricted to {0, 1} by
-// parallel branch and bound over LP relaxations: a worker pool shares a
-// best-first frontier (ordered by LP bound), each worker dives depth-first
-// from the node it steals, and a shared incumbent prunes across workers.
-// The returned objective is deterministic; the solution vector is too when
-// ILPOptions.Canonicalize is set.
+// branch and bound over LP relaxations: a best-first frontier ordered by LP
+// bound, a depth-first dive from every node popped off it, and one
+// warm-started LP workspace for the whole solve. The search is
+// deterministic; with ILPOptions.Canonicalize the solution vector is
+// moreover the lexicographically smallest optimum.
 func SolveILP(p *Problem, opt ILPOptions) (Solution, error) {
 	return SolveILPContext(context.Background(), p, opt)
 }
@@ -654,35 +515,22 @@ func SolveILPContext(ctx context.Context, p *Problem, opt ILPOptions) (Solution,
 	if err := p.validate(); err != nil {
 		return Solution{}, err
 	}
-	workers := sched.Workers(opt.Workers)
-	pool := make([]*Workspace, workers)
-	for i := range pool {
-		ws, err := NewWorkspace(p)
-		if err != nil {
-			return Solution{}, err
-		}
-		pool[i] = ws
+	ws, err := NewWorkspace(p)
+	if err != nil {
+		return Solution{}, err
 	}
 	// The whole solve — main search plus any canonicalization probes — is
 	// one trace root. A0 reports the nodes expanded, A1 the final status.
 	root := opt.Tracer.Root(traceMetaILPSolve)
-	for i := range pool {
-		opt.Tracer.NameLane(uint32(ilpLaneBase+i), fmt.Sprintf("ilp %02d", i))
+	sol, err := solveBB(ctx, p, opt, nil, math.Inf(1), math.Inf(-1), ws)
+	if err == nil && sol.Status == Optimal && opt.Canonicalize {
+		var x []float64
+		if x, err = canonicalize(ctx, p, opt, sol.Objective, sol.X, ws); err == nil {
+			sol.X = x
+		}
 	}
-	opt.traceCtx = root.Context()
-	sol, err := solveBB(ctx, p, opt, nil, math.Inf(1), math.Inf(-1), pool)
-	if err != nil || sol.Status != Optimal || !opt.Canonicalize {
-		root.End(sol.Nodes, int64(sol.Status))
-		return sol, err
-	}
-	x, err := canonicalize(ctx, p, opt, sol.Objective, sol.X, pool)
-	if err != nil {
-		root.End(sol.Nodes, int64(sol.Status))
-		return sol, err
-	}
-	sol.X = x
 	root.End(sol.Nodes, int64(sol.Status))
-	return sol, nil
+	return sol, err
 }
 
 // canonicalize computes the lexicographically smallest optimal assignment
@@ -692,11 +540,11 @@ func SolveILPContext(ctx context.Context, p *Problem, opt ILPOptions) (Solution,
 // is resolved with one bounded feasibility probe ("is there an optimal
 // completion with this variable at 0?"). The result is unique for a given
 // (problem, z), independent of which optimum the search happened to find
-// and of the worker count. A probe that runs out of nodes falls back to
+// and of the node order. A probe that runs out of nodes falls back to
 // the witness value, keeping the result optimal (if no longer guaranteed
 // canonical); with the target-objective pruning this is not observed in
 // practice.
-func canonicalize(ctx context.Context, p *Problem, opt ILPOptions, z float64, witness []float64, pool []*Workspace) ([]float64, error) {
+func canonicalize(ctx context.Context, p *Problem, opt ILPOptions, z float64, witness []float64, ws *Workspace) ([]float64, error) {
 	w := append([]float64(nil), witness...)
 	for j := range w {
 		w[j] = math.Round(w[j])
@@ -705,7 +553,6 @@ func canonicalize(ctx context.Context, p *Problem, opt ILPOptions, z float64, wi
 	probeOpt := ILPOptions{
 		MaxNodes:          opt.MaxNodes,
 		IntegralObjective: opt.IntegralObjective,
-		traceCtx:          opt.traceCtx, // probes render under the same solve root
 	}
 	for j := 0; j < p.NumVars; j++ {
 		if w[j] == 0 {
@@ -718,7 +565,7 @@ func canonicalize(ctx context.Context, p *Problem, opt ILPOptions, z float64, wi
 			return w, nil // best effort: optimal but possibly non-canonical
 		}
 		probe := append(append(make([]fixStep, 0, len(fixes)+1), fixes...), fixStep{j, 0})
-		sol, err := solveBB(ctx, p, probeOpt, probe, z, z, pool)
+		sol, err := solveBB(ctx, p, probeOpt, probe, z, z, ws)
 		if err != nil {
 			return nil, err
 		}

@@ -293,7 +293,7 @@ func TestSolveILPNodeLimit(t *testing.T) {
 			{Terms: []Term{{4, 1}, {0, 1}}, Sense: LE, RHS: 1},
 		},
 	}
-	sol, err := SolveILP(p, ILPOptions{MaxNodes: 1, Workers: 1})
+	sol, err := SolveILP(p, ILPOptions{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestSolveILPNodeLimit(t *testing.T) {
 	}
 	// With a feasible incumbent the limit returns the incumbent instead,
 	// along with a sound bound and gap.
-	sol, err = SolveILP(p, ILPOptions{MaxNodes: 1, Workers: 1, Incumbent: []float64{1, 0, 1, 0, 0}})
+	sol, err = SolveILP(p, ILPOptions{MaxNodes: 1, Incumbent: []float64{1, 0, 1, 0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

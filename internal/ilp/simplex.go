@@ -2,10 +2,9 @@
 // the PoE-placement formulation of Table 1 produces — the reproduction's
 // substitute for the FICO Xpress solver the paper used. It contains a dense
 // two-phase primal simplex with implicit variable upper bounds for the LP
-// relaxations (see Workspace) and a parallel branch-and-bound driver: a
-// work-stealing pool of solver workers over a shared best-first frontier,
-// DFS dives for early incumbents, and a shared atomically-pruned incumbent
-// (see SolveILP / SolveILPContext).
+// relaxations (see Workspace) and a branch-and-bound driver: a best-first
+// frontier with DFS dives for early incumbents (see SolveILP /
+// SolveILPContext).
 package ilp
 
 import (
@@ -105,9 +104,7 @@ type Solution struct {
 	BestBound float64 // best proven lower bound on the optimum
 	RelGap    float64 // (Objective-BestBound)/max(1,|Objective|); 0 when proven
 
-	// Work-distribution statistics of the parallel search.
-	Steals           []int64 // per-worker pops off the shared frontier
-	IncumbentUpdates int64   // incumbent improvements accepted
+	IncumbentUpdates int64 // incumbent improvements accepted
 }
 
 const eps = 1e-9

@@ -13,8 +13,7 @@ import (
 type ilpTel struct {
 	reg *telemetry.Registry
 
-	nodes      *telemetry.Counter // nodes expanded (all workers, incl. probes)
-	steals     *telemetry.Counter // nodes popped off the shared frontier
+	nodes      *telemetry.Counter // nodes expanded (canonicalization probes excluded)
 	incumbents *telemetry.Counter // incumbent improvements accepted
 
 	bestObj  *telemetry.FloatGauge // objective of the current incumbent
@@ -33,7 +32,6 @@ func newILPTel(reg *telemetry.Registry) *ilpTel {
 	return &ilpTel{
 		reg:        reg,
 		nodes:      reg.Counter("ilp.nodes"),
-		steals:     reg.Counter("ilp.steals"),
 		incumbents: reg.Counter("ilp.incumbent_updates"),
 		bestObj:    reg.FloatGauge("ilp.best_objective"),
 		headBnd:    reg.FloatGauge("ilp.frontier_bound"),

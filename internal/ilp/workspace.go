@@ -5,12 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// Workspace compiles one Problem into a form a branch-and-bound worker can
+// Workspace compiles one Problem into a form the branch and bound can
 // re-solve repeatedly without allocating: the constraint rows, a dense
 // simplex tableau buffer, and an in-place fixing representation (a
 // fixed-variable mask plus per-row RHS/bound adjustments) that replaces the
 // old rebuild-the-Problem-per-node substitution. A Workspace belongs to
-// one goroutine at a time; workers of a parallel solve each own one.
+// one goroutine at a time; one serves a whole solve.
 //
 // Variable upper bounds are implicit: a variable at its upper bound is
 // complemented (x -> ub-x) instead of being materialized as an explicit
@@ -75,9 +75,10 @@ type Workspace struct {
 	pivotCount int // pivots since the last cold build, for refactorization
 
 	// Snapshot of the root-optimal tableau (no fixes). Every node's fix
-	// set extends the empty one, so any node — in particular one stolen
-	// from a distant subtree — can warm-start by restoring this snapshot
-	// and applying its fixes, instead of paying a cold solve.
+	// set extends the empty one, so any node — in particular one popped
+	// off the frontier from a distant subtree — can warm-start by
+	// restoring this snapshot and applying its fixes, instead of paying a
+	// cold solve.
 	snapValid   bool
 	snapBacking []float64
 	snapBasis   []int

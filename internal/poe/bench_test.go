@@ -1,7 +1,6 @@
 package poe
 
 import (
-	"fmt"
 	"testing"
 
 	"snvmm/internal/xbar"
@@ -9,15 +8,13 @@ import (
 
 // The placement benchmarks pin the solver's two regimes: the 8x8 default
 // config solves at the root (pure LP + canonicalization cost), and the
-// 16x16 S=0 instance is a real branch-and-bound search. The 16x16 cases cap
+// 16x16 S=0 instance is a real branch-and-bound search. The 16x16 case caps
 // MaxNodes so one iteration is a fixed amount of search work rather than a
-// run-to-optimality whose length depends on incumbent luck; the sequential
-// vs parallel pair then isolates the work-stealing overhead (on multi-core
-// hosts, the speedup).
-func benchSolve(b *testing.B, rows, cols, s, maxNodes, workers int) {
+// run-to-optimality whose length depends on incumbent luck.
+func benchSolve(b *testing.B, rows, cols, s, maxNodes int) {
 	cfg := xbar.DefaultConfig()
 	cfg.Rows, cfg.Cols = rows, cols
-	spec := Spec{Cfg: cfg, S: s, MaxNodes: maxNodes, Workers: workers}
+	spec := Spec{Cfg: cfg, S: s, MaxNodes: maxNodes}
 	b.ReportAllocs()
 	var nodes int64
 	for i := 0; i < b.N; i++ {
@@ -30,18 +27,6 @@ func benchSolve(b *testing.B, rows, cols, s, maxNodes, workers int) {
 	b.ReportMetric(float64(nodes), "nodes")
 }
 
-func BenchmarkPlacement8x8(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchSolve(b, 8, 8, 0, 0, workers)
-		})
-	}
-}
+func BenchmarkPlacement8x8(b *testing.B) { benchSolve(b, 8, 8, 0, 0) }
 
-func BenchmarkPlacement16x16(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchSolve(b, 16, 16, 0, 40, workers)
-		})
-	}
-}
+func BenchmarkPlacement16x16(b *testing.B) { benchSolve(b, 16, 16, 0, 40) }

@@ -34,14 +34,13 @@ type Spec struct {
 	S        int       // security slack (Table 1); 0 <= S <= M*N-1
 	MaxCover int       // per-cell overlap cap; 0 means 2 (the paper's value)
 	MaxNodes int       // branch-and-bound node limit; 0 means solver default
-	Workers  int       // parallel solver workers; 0 means GOMAXPROCS
 
 	// Telemetry, if non-nil, receives the solver's live ilp.* instruments
 	// and incumbent events. Observational only; never changes the placement.
 	Telemetry *telemetry.Registry
 
 	// Tracer, if non-nil, records the solve as an ilp.solve causal trace
-	// root with per-worker child spans. Observational only.
+	// root. Observational only.
 	Tracer *trace.Tracer
 }
 
@@ -60,8 +59,8 @@ func (s *Spec) maxCover() int {
 }
 
 // Result is a PoE placement. The placement is canonical: for a given spec
-// it is the same across runs and worker counts (the solver returns the
-// lexicographically smallest optimal selection).
+// it is the same across runs (the solver returns the lexicographically
+// smallest optimal selection).
 type Result struct {
 	PoEs     []xbar.Cell
 	Coverage []int // per-cell polyomino count
@@ -72,9 +71,7 @@ type Result struct {
 	BestBound float64 // proven lower bound on the optimal PoE count
 	Gap       float64 // relative optimality gap; 0 when Optimal
 
-	// Work distribution of the parallel search.
-	Steals           []int64 // per-worker pops off the shared frontier
-	IncumbentUpdates int64   // incumbent improvements accepted
+	IncumbentUpdates int64 // incumbent improvements accepted
 }
 
 // covers precomputes, for every candidate PoE i, the linear indices its
@@ -150,7 +147,6 @@ func SolveContext(ctx context.Context, spec Spec) (*Result, error) {
 		MaxNodes:          spec.MaxNodes,
 		Incumbent:         inc,
 		IntegralObjective: true,
-		Workers:           spec.Workers,
 		Canonicalize:      true,
 		Telemetry:         spec.Telemetry,
 		Tracer:            spec.Tracer,
@@ -173,7 +169,6 @@ func SolveContext(ctx context.Context, spec Spec) (*Result, error) {
 		Nodes:            sol.Nodes,
 		BestBound:        sol.BestBound,
 		Gap:              sol.RelGap,
-		Steals:           sol.Steals,
 		IncumbentUpdates: sol.IncumbentUpdates,
 	}
 	for i, v := range sol.X {

@@ -89,8 +89,11 @@ func benchLattice(size int) []Cell {
 // train's permutation indices, and the forward train after it, which
 // restores the ciphertext without pulsing — 2·n pulses for n PoEs.
 // overwrite is a WriteBlock of fresh data followed by the forward train,
-// cycling over four blocks of data, so every pulse sums its deviations
-// densely: one op is n pulses, with the WriteBlock timed in it.
+// each crossbar cycling over four blocks of data, so every pulse sums its
+// deviations densely: one op is n pulses, with the WriteBlock timed in it.
+// Ops cycle a pool of trainPool crossbars, each with its own PoE order and
+// pulse classes, as a SPECU's blocks have: replaying one σ every op would
+// let the branch predictor learn it, hiding costs that depend on σ.
 func BenchmarkTrain(b *testing.B) {
 	for _, mode := range []string{"readthrough", "overwrite"} {
 		for _, size := range []int{8, 16} {
@@ -101,45 +104,64 @@ func BenchmarkTrain(b *testing.B) {
 	}
 }
 
+// trainPool is the number of crossbars BenchmarkTrain cycles through.
+const trainPool = 16
+
 func benchTrain(b *testing.B, size int, overwrite bool) {
-	x, err := New(sizedConfig(size, size))
-	if err != nil {
-		b.Fatal(err)
+	type trainee struct {
+		x       *Crossbar
+		order   []int
+		classes []int
 	}
-	cal := Calibrate(x)
+	pool := make([]trainee, trainPool)
+	for k := range pool {
+		x, err := New(sizedConfig(size, size))
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool[k].x = x
+	}
+	cal := Calibrate(pool[0].x)
 	poes := benchLattice(size)
 	rng := rand.New(rand.NewSource(5))
 	blocks := make([][]byte, 4)
 	for i := range blocks {
-		blocks[i] = make([]byte, x.BlockBytes())
+		blocks[i] = make([]byte, pool[0].x.BlockBytes())
 		rng.Read(blocks[i])
 	}
-	order, classes := rng.Perm(len(poes)), make([]int, len(poes))
-	for k := range classes {
-		classes[k] = rng.Intn(device.NumPulses)
+	for k := range pool {
+		pool[k].order, pool[k].classes = rng.Perm(len(poes)), make([]int, len(poes))
+		for j := range pool[k].classes {
+			pool[k].classes[j] = rng.Intn(device.NumPulses)
+		}
 	}
-	run := func(inverse bool) {
-		if _, err := x.Train(cal, poes, order, classes, inverse); err != nil {
+	run := func(t trainee, inverse bool) {
+		if _, err := t.x.Train(cal, poes, t.order, t.classes, inverse); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := x.WriteBlock(blocks[0]); err != nil {
-		b.Fatal(err)
+	for k, t := range pool {
+		if err := t.x.WriteBlock(blocks[k%len(blocks)]); err != nil {
+			b.Fatal(err)
+		}
+		run(t, false)
 	}
-	run(false)
 	op := func(i int) {
+		k, round := i%trainPool, i/trainPool
+		t := pool[k]
 		if !overwrite {
-			run(true)
-			run(false)
+			run(t, true)
+			run(t, false)
 			return
 		}
-		if err := x.WriteBlock(blocks[i%len(blocks)]); err != nil {
+		// Round r writes block k+r+1: never the data the crossbar holds.
+		if err := t.x.WriteBlock(blocks[(k+round+1)%len(blocks)]); err != nil {
 			b.Fatal(err)
 		}
-		run(false)
+		run(t, false)
 	}
-	// Warm every PoE's calibration record and the crossbar's train record.
-	for i := 0; i < 2*len(blocks); i++ {
+	// Warm every PoE's calibration record and every crossbar's train record.
+	for i := 0; i < 2*len(blocks)*trainPool; i++ {
 		op(i)
 	}
 	pulses := len(poes)
