@@ -25,9 +25,12 @@ go test ./internal/core -run xxx -bench 'BenchmarkBlock' -benchtime 1x -benchmem
 	| go run ./cmd/benchjson -require 3 -o /dev/null
 go test ./internal/poe -run xxx -bench 'BenchmarkPlacement8x8' -benchtime 1x -benchmem \
 	| go run ./cmd/benchjson -require 1 -o /dev/null
+# The cold-characterization smoke covers each path the geometry selects:
+# per-PoE dense (8x8), the dense-table sketch (16x16) and hierarchical
+# (64x64).
 ( go test ./internal/linalg -run xxx -bench 'BenchmarkCholeskyFactor' -benchtime 1x -benchmem ; \
-  go test ./internal/xbar -run xxx -bench 'BenchmarkColdCharacterize(8x8|64x64)$' -benchtime 1x -benchmem ) \
-	| go run ./cmd/benchjson -require 3 -o /dev/null
+  go test ./internal/xbar -run xxx -bench 'BenchmarkColdCharacterize(8x8|16x16|64x64)$' -benchtime 1x -benchmem ) \
+	| go run ./cmd/benchjson -require 4 -o /dev/null
 go test ./internal/redteam -run xxx -bench . -benchtime 1x -benchmem \
 	| go run ./cmd/benchjson -require 4 -o /dev/null
 

@@ -807,10 +807,11 @@ type sizewallReport struct {
 
 // sizewall demonstrates that characterization and placement now scale past
 // the paper's 8x8: it derives the scaled Table 1 problem at -rows x -cols,
-// then cold-characterizes the full device through whichever path CharAuto
-// selects — the locality-truncated sketch above 64 cells, hierarchical
-// above ~1024 unknowns — and reports the truncation telemetry plus the
-// heap high-water mark, including a radius-capped re-run to show the knob.
+// then cold-characterizes the full device through whichever path its
+// geometry selects — the locality-truncated sketch above 64 cells,
+// hierarchical above ~1024 unknowns — and reports the path the backend
+// counters saw, the truncation telemetry and the heap high-water mark,
+// plus a radius-capped re-run on the sketch path to show the knob.
 // With -json the same numbers come out as one machine-comparable object.
 func sizewall() error {
 	cfg := xbar.DefaultConfig()
@@ -818,16 +819,11 @@ func sizewall() error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	rep := sizewallReport{Rows: cfg.Rows, Cols: cfg.Cols, Cells: cfg.Cells(), Path: "dense"}
-	mode := "dense (legacy per-PoE factorization)"
-	if cfg.Cells() > 64 {
-		rep.Path = "sketch"
-		mode = "sketch (one shared factorization + Green tables per device)"
-	}
+	rep := sizewallReport{Rows: cfg.Rows, Cols: cfg.Cols, Cells: cfg.Cells()}
 	human := !*jsonFlag
 	if human {
-		fmt.Printf("%dx%d crossbar (%d cells, %d PoEs to characterize); path: %s\n",
-			cfg.Rows, cfg.Cols, cfg.Cells(), cfg.Cells(), mode)
+		fmt.Printf("%dx%d crossbar (%d cells, %d PoEs to characterize)\n",
+			cfg.Rows, cfg.Cols, cfg.Cells(), cfg.Cells())
 	}
 
 	spec, err := poe.ScaledSpec(cfg.Rows, cfg.Cols)
@@ -864,7 +860,6 @@ func sizewall() error {
 		visited0 := reg.Counter("xbar.cal.cells_visited").Load()
 		skipped0 := reg.Counter("xbar.cal.cells_skipped").Load()
 		dense0 := reg.Counter("circuit.sketch.backend_dense").Load()
-		cg0 := reg.Counter("circuit.sketch.backend_cg").Load()
 		hier0 := reg.Counter("circuit.sketch.backend_hier").Load()
 		runtime.GC()
 		hw := watchHeap()
@@ -889,8 +884,6 @@ func sizewall() error {
 			run.NDDepth = reg.Gauge("circuit.sketch.nd_depth").Load()
 			run.TableEntries = reg.Gauge("circuit.sketch.table_entries").Load()
 			run.TableDense = reg.Gauge("circuit.sketch.table_entries_dense").Load()
-		case reg.Counter("circuit.sketch.backend_cg").Load() > cg0:
-			run.Backend = "cg"
 		case reg.Counter("circuit.sketch.backend_dense").Load() > dense0:
 			run.Backend = "dense"
 		}
@@ -912,9 +905,18 @@ func sizewall() error {
 	if err := warm(cfg, "full precharacterize"); err != nil {
 		return err
 	}
-	capped := cfg
-	capped.TruncationRadius = 5
-	if capped.Cells() > 64 {
+	rep.Path = "sketch"
+	mode := "sketch (one shared factorization + Green tables per device)"
+	if rep.Runs[0].Backend == "dense-per-poe" {
+		rep.Path = "dense"
+		mode = "dense (legacy per-PoE factorization)"
+	}
+	if human {
+		fmt.Printf("path: %s\n", mode)
+	}
+	if rep.Path == "sketch" {
+		capped := cfg
+		capped.TruncationRadius = 5
 		if err := warm(capped, "radius-capped (R=5)"); err != nil {
 			return err
 		}

@@ -36,10 +36,10 @@ import (
 // PoEs is table lookups: per-PoE cost scales with the swept neighbourhood,
 // not with device size.
 //
-// Backends: dense Cholesky (LU fallback) up to SketchOptions.DenseLimit
-// unknowns, above that the CSR + Jacobi-CG machinery with each probe solve
-// warm-started from its neighbour (probe RHS of adjacent cells are close,
-// so are their Green columns).
+// Backends: dense Cholesky (LU fallback) with full tables, or, when the
+// caller supplies an elimination order and a table sparsity, the
+// nested-dissection sparse Cholesky with block-sparse tables
+// (sketch_hier.go).
 //
 // A ProbeSketch is immutable once built and safe for concurrent readers.
 type ProbeSketch struct {
@@ -49,9 +49,9 @@ type ProbeSketch struct {
 	pa, pb []int // pair endpoints in unknown space
 	si     []int // singles in unknown space
 
-	backend SketchBackend // resolved backend (never SketchAuto)
+	backend SketchBackend
 
-	// Dense tables (SketchDense / SketchCG backends).
+	// Dense tables (SketchDense backend).
 	w    []float64 // np x np, W[i*np+j]
 	cmat []float64 // ns x np, C[s*np+j]
 	tmat []float64 // ns x ns, T[s*ns+t] (all backends)
@@ -73,36 +73,21 @@ type ProbeSketch struct {
 type SketchBackend int
 
 const (
-	// SketchAuto picks by unknown count: hierarchical above HierLimit when
-	// an ordering and a sparsity pattern are supplied, else dense up to
-	// DenseLimit, else CG.
-	SketchAuto SketchBackend = iota
 	// SketchDense factors densely (Cholesky, LU fallback) and stores full
 	// W/C/T tables.
-	SketchDense
-	// SketchCG answers each probe with a warm-started Jacobi-CG solve and
-	// stores full tables — the legacy large-device fallback; explicit
-	// selection only under Auto unless no ordering is available.
-	SketchCG
+	SketchDense SketchBackend = iota
 	// SketchHier runs the nested-dissection supernodal sparse Cholesky
 	// (linalg.FactorSparse) under the caller-supplied elimination order and
 	// materializes only the table entries named by SketchOptions.Sparsity.
-	// Requires Order and Sparsity.
 	SketchHier
 )
 
 // String names the backend for telemetry and logs.
 func (b SketchBackend) String() string {
-	switch b {
-	case SketchDense:
-		return "dense"
-	case SketchCG:
-		return "cg"
-	case SketchHier:
+	if b == SketchHier {
 		return "hierarchical"
-	default:
-		return "auto"
 	}
+	return "dense"
 }
 
 // SketchSparsity names which Green-table entries a hierarchical sketch
@@ -116,40 +101,23 @@ type SketchSparsity struct {
 	SingleRows [][]int32
 }
 
-// SketchOptions tunes FactorSketch. The zero value selects the defaults.
+// SketchOptions selects the sketch backend. The zero value builds the dense
+// tables; supplying Sparsity (with Order) builds the hierarchical ones. The
+// caller owns the choice: xbar supplies both for large ShapePaper devices
+// (see its hierUnknownCutoff).
 type SketchOptions struct {
-	// Backend forces a backend; SketchAuto (the zero value) selects by
-	// unknown count as documented on the constants.
-	Backend SketchBackend
-	// DenseLimit is the unknown count above which the sketch switches from
-	// the dense Cholesky backend to sparse CG. 0 means 6000 (a 32x32
-	// crossbar has ~2100 unknowns and stays dense; 64x64 crosses over).
-	DenseLimit int
-	// HierLimit is the unknown count above which SketchAuto prefers the
-	// hierarchical backend when Order and Sparsity are supplied. 0 means
-	// 1024 — a 16x16 crossbar (544 unknowns) stays on the bit-stable dense
-	// backend, 24x24 (1200) and up go hierarchical.
-	HierLimit int
-	// BatchRHS is the multi-RHS panel width of the dense backend. 0 means 64.
-	BatchRHS int
-	// CGTol is the relative residual tolerance of the CG backend. 0 means
-	// 1e-12.
-	CGTol float64
 	// Order is the elimination order for the hierarchical backend:
 	// Order[k] is the unknown (node-1) eliminated at position k. Any
 	// permutation is numerically correct; a nested-dissection order keeps
-	// fill near-linear.
+	// fill near-linear. Only valid together with Sparsity.
 	Order []int
 	// Sparsity restricts which table entries the hierarchical backend
-	// materializes. Required with SketchHier.
+	// materializes. Given, it selects that backend.
 	Sparsity *SketchSparsity
 }
 
-const (
-	defaultSketchDenseLimit = 6000
-	defaultSketchHierLimit  = 1024
-	defaultSketchBatch      = 64
-)
+// sketchPanel is the multi-RHS panel width of the dense backend.
+const sketchPanel = 64
 
 // FactorSketch factors the network once and precomputes the Green tables
 // for the given probe pairs and single-node probes. The network must have
@@ -169,6 +137,9 @@ func (nw *Network) FactorSketch(pairs []ProbePair, singles []int, opt SketchOpti
 	n := nw.nodes - 1
 	if n == 0 {
 		return nil, fmt.Errorf("circuit: FactorSketch needs at least one unknown node")
+	}
+	if opt.Order != nil && opt.Sparsity == nil {
+		return nil, fmt.Errorf("circuit: sketch elimination order given without a table sparsity")
 	}
 	sk := &ProbeSketch{
 		n: n, np: np, ns: ns,
@@ -192,24 +163,9 @@ func (nw *Network) FactorSketch(pairs []ProbePair, singles []int, opt SketchOpti
 		t.sketchFactors.Inc()
 		t.sketchProbes.Add(int64(ns + np))
 	}
-	limit := opt.DenseLimit
-	if limit <= 0 {
-		limit = defaultSketchDenseLimit
-	}
-	hierLimit := opt.HierLimit
-	if hierLimit <= 0 {
-		hierLimit = defaultSketchHierLimit
-	}
-	backend := opt.Backend
-	if backend == SketchAuto {
-		switch {
-		case n > hierLimit && opt.Order != nil && opt.Sparsity != nil:
-			backend = SketchHier
-		case n <= limit:
-			backend = SketchDense
-		default:
-			backend = SketchCG
-		}
+	backend := SketchDense
+	if opt.Sparsity != nil {
+		backend = SketchHier
 	}
 	sk.backend = backend
 	// idx: node -> unknown. Only ground is eliminated, so the map is i-1.
@@ -220,31 +176,21 @@ func (nw *Network) FactorSketch(pairs []ProbePair, singles []int, opt SketchOpti
 	}
 	vfixed := make([]float64, nw.nodes) // ground at 0; no other fixed nodes
 	var err error
-	switch backend {
-	case SketchDense:
-		sk.w = make([]float64, np*np)
-		sk.cmat = make([]float64, ns*np)
-		err = sk.buildDense(nw, idx, vfixed, opt)
-	case SketchCG:
-		sk.w = make([]float64, np*np)
-		sk.cmat = make([]float64, ns*np)
-		err = sk.buildCG(nw, idx, vfixed, opt)
-	case SketchHier:
+	if backend == SketchHier {
 		err = sk.buildHier(nw, idx, vfixed, opt)
-	default:
-		err = fmt.Errorf("circuit: unknown sketch backend %d", backend)
+	} else {
+		sk.w = make([]float64, np*np)
+		sk.cmat = make([]float64, ns*np)
+		err = sk.buildDense(nw, idx, vfixed)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if t := ctel.Load(); t != nil {
-		switch backend {
-		case SketchDense:
-			t.sketchDense.Inc()
-		case SketchCG:
-			t.sketchCG.Inc()
-		case SketchHier:
+		if backend == SketchHier {
 			t.sketchHier.Inc()
+		} else {
+			t.sketchDense.Inc()
 		}
 		t.sketchDepth.Set(int64(sk.ndDepth))
 		t.sketchTableFill.Set(sk.TableEntries())
@@ -258,12 +204,12 @@ func (nw *Network) FactorSketch(pairs []ProbePair, singles []int, opt SketchOpti
 func (sk *ProbeSketch) Backend() SketchBackend { return sk.backend }
 
 // NDDepth returns the nested-dissection depth of the hierarchical factor
-// (0 for the dense and CG backends).
+// (0 for the dense backend).
 func (sk *ProbeSketch) NDDepth() int { return sk.ndDepth }
 
 // TableEntries returns the number of Green-table entries materialized
 // (W + C + T). For the hierarchical backend this is the block-sparse fill;
-// for the others the full dense count.
+// for the dense one the full dense count.
 func (sk *ProbeSketch) TableEntries() int64 {
 	if sk.backend == SketchHier {
 		return int64(len(sk.wval)) + int64(len(sk.cval)) + int64(len(sk.tmat))
@@ -287,7 +233,7 @@ func (sk *ProbeSketch) TableBytes() int64 {
 // chunks. Panel columns solve with per-column-independent recurrences, so
 // every table entry is a pure function of the network — independent of
 // chunking and of which other probes are requested.
-func (sk *ProbeSketch) buildDense(nw *Network, idx []int, vfixed []float64, opt SketchOptions) error {
+func (sk *ProbeSketch) buildDense(nw *Network, idx []int, vfixed []float64) error {
 	n := sk.n
 	g := linalg.NewDense(n, n)
 	for i := 0; i < n; i++ {
@@ -307,10 +253,7 @@ func (sk *ProbeSketch) buildDense(nw *Network, idx []int, vfixed []float64, opt 
 			return fmt.Errorf("circuit: factoring sketch system: %w", luErr)
 		}
 	}
-	batch := opt.BatchRHS
-	if batch <= 0 {
-		batch = defaultSketchBatch
-	}
+	batch := sketchPanel
 	total := sk.ns + sk.np
 	panel := make([]float64, n*batch)
 	for lo := 0; lo < total; lo += batch {
@@ -343,49 +286,6 @@ func (sk *ProbeSketch) buildDense(nw *Network, idx []int, vfixed []float64, opt 
 		for c := 0; c < k; c++ {
 			sk.extractColumn(lo+c, sub, k, c)
 		}
-	}
-	return nil
-}
-
-// buildCG assembles the sparse CSR system and answers each probe with a
-// warm-started Jacobi-CG solve — the large-device backend, trading the
-// dense factor's O(n^3) time and O(n^2) memory for O(nnz) per iteration.
-func (sk *ProbeSketch) buildCG(nw *Network, idx []int, vfixed []float64, opt SketchOptions) error {
-	n := sk.n
-	bdump := make([]float64, n)
-	coords := make([]linalg.Coord, 0, len(nw.edges)*4+n)
-	for i := 0; i < n; i++ {
-		coords = append(coords, linalg.Coord{Row: i, Col: i, Val: Gmin})
-	}
-	for _, r := range nw.edges {
-		coords = stampSparse(coords, bdump, idx, vfixed, r)
-	}
-	m := linalg.NewCSR(n, coords)
-	tol := opt.CGTol
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	rhs := make([]float64, n)
-	var prev []float64
-	for q := 0; q < sk.ns+sk.np; q++ {
-		for i := range rhs {
-			rhs[i] = 0
-		}
-		if q < sk.ns {
-			rhs[sk.si[q]] = 1
-		} else {
-			rhs[sk.pa[q-sk.ns]] = 1
-			rhs[sk.pb[q-sk.ns]] = -1
-		}
-		x, res, err := linalg.SolveCG(m, rhs, linalg.CGOptions{MaxIter: 50 * n, Tol: tol, X0: prev})
-		if err != nil {
-			return fmt.Errorf("circuit: sketch CG probe %d: %w", q, err)
-		}
-		if !res.Converged {
-			return fmt.Errorf("circuit: sketch CG probe %d did not converge (residual %g after %d iters)", q, res.Residual, res.Iterations)
-		}
-		prev = x
-		sk.extractColumn(q, x, 1, 0)
 	}
 	return nil
 }
@@ -446,7 +346,7 @@ func (sk *ProbeSketch) Pin(fixed []int, volts []float64) (*PinnedSketch, error) 
 // of pair ids the caller will actually sweep. The per-pin arrays are sized
 // by the window instead of by the device, which is what keeps per-PoE cost
 // neighbourhood-bound on large devices. A nil window means all pairs (dense
-// and CG backends only).
+// backend only).
 func (sk *ProbeSketch) PinWindow(fixed []int, volts []float64, window []int32) (*PinnedSketch, error) {
 	k := len(fixed)
 	if k == 0 || k != len(volts) {

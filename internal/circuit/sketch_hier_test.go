@@ -13,7 +13,7 @@ func hierOpts(n int, sp *SketchSparsity) SketchOptions {
 	for i := range ord {
 		ord[i] = i
 	}
-	return SketchOptions{Backend: SketchHier, Order: ord, Sparsity: sp}
+	return SketchOptions{Order: ord, Sparsity: sp}
 }
 
 // fullSparsity materializes every W/C entry — the hierarchical backend with
@@ -217,19 +217,22 @@ func TestHierTruncatedWindow(t *testing.T) {
 	}()
 }
 
-// TestHierOptionValidation pins the error paths: a hierarchical sketch
-// without order or sparsity, malformed sparsity patterns, windowless pins,
-// and windows escaping the C sparsity must all error.
+// TestHierOptionValidation pins the error paths: an order without a
+// sparsity or a sparsity without an order, malformed sparsity patterns,
+// windowless pins, and windows escaping the C sparsity must all error.
 func TestHierOptionValidation(t *testing.T) {
 	fx := buildSketchFixture(t, 3)
 	pairs, _ := fx.probePairs()
 	singles := []int{fx.t1, fx.t2}
 	np, ns := len(pairs), len(singles)
 	n := fx.nodes - 1
-	if _, err := fx.floating.FactorSketch(pairs, singles, SketchOptions{Backend: SketchHier}); err == nil {
-		t.Error("hier without order/sparsity accepted")
-	}
 	opts := hierOpts(n, fullSparsity(np, ns))
+	if _, err := fx.floating.FactorSketch(pairs, singles, SketchOptions{Order: opts.Order}); err == nil {
+		t.Error("order without sparsity accepted")
+	}
+	if _, err := fx.floating.FactorSketch(pairs, singles, SketchOptions{Sparsity: opts.Sparsity}); err == nil {
+		t.Error("sparsity without order accepted")
+	}
 	opts.Order = opts.Order[:n-1]
 	if _, err := fx.floating.FactorSketch(pairs, singles, opts); err == nil {
 		t.Error("short order accepted")
@@ -279,40 +282,26 @@ func TestHierOptionValidation(t *testing.T) {
 	}
 }
 
-// TestHierAutoSelection: SketchAuto resolves to the hierarchical backend
-// exactly when the unknown count exceeds HierLimit and the ordering inputs
-// are present.
+// TestHierAutoSelection: FactorSketch builds the hierarchical backend
+// exactly when a sparsity is given, whatever the unknown count, and the
+// dense backend when it is absent.
 func TestHierAutoSelection(t *testing.T) {
 	fx := buildSketchFixture(t, 31)
 	pairs, _ := fx.probePairs()
 	singles := []int{fx.t1, fx.t2}
-	n := fx.nodes - 1
-	full := fullSparsity(len(pairs), len(singles))
-	opts := hierOpts(n, full)
-	opts.Backend = SketchAuto
-	opts.HierLimit = 10 // below the fixture's 39 unknowns
+	opts := hierOpts(fx.nodes-1, fullSparsity(len(pairs), len(singles)))
 	sk, err := fx.floating.FactorSketch(pairs, singles, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sk.Backend() != SketchHier {
-		t.Fatalf("auto backend = %v, want hierarchical", sk.Backend())
+		t.Fatalf("backend with sparsity = %v, want hierarchical", sk.Backend())
 	}
-	// Without an order, auto falls back to dense at this size.
-	sk, err = fx.floating.FactorSketch(pairs, singles, SketchOptions{HierLimit: 10})
+	sk, err = fx.floating.FactorSketch(pairs, singles, SketchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sk.Backend() != SketchDense {
-		t.Fatalf("auto backend without order = %v, want dense", sk.Backend())
-	}
-	// Default HierLimit keeps small systems dense even with hints present.
-	opts.HierLimit = 0
-	sk, err = fx.floating.FactorSketch(pairs, singles, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sk.Backend() != SketchDense {
-		t.Fatalf("auto backend below default HierLimit = %v, want dense", sk.Backend())
+		t.Fatalf("backend without sparsity = %v, want dense", sk.Backend())
 	}
 }

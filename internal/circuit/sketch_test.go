@@ -154,39 +154,6 @@ func TestSketchMatchesFactoredSystem(t *testing.T) {
 	}
 }
 
-// TestSketchCGBackendMatchesDense forces the CG backend and checks its
-// Green tables against the dense backend's.
-func TestSketchCGBackendMatchesDense(t *testing.T) {
-	fx := buildSketchFixture(t, 11)
-	pairs, _ := fx.probePairs()
-	singles := []int{fx.t1, fx.t2}
-	dense, err := fx.floating.FactorSketch(pairs, singles, SketchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg, err := fx.floating.FactorSketch(pairs, singles, SketchOptions{DenseLimit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxAbs := 0.0
-	for _, v := range dense.w {
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	check := func(name string, a, b []float64) {
-		t.Helper()
-		for i := range a {
-			if d := relDiff(a[i], b[i], maxAbs); d > 1e-7 {
-				t.Fatalf("%s[%d]: dense %g vs cg %g (rel %g)", name, i, a[i], b[i], d)
-			}
-		}
-	}
-	check("W", dense.w, cg.w)
-	check("C", dense.cmat, cg.cmat)
-	check("T", dense.tmat, cg.tmat)
-}
-
 func TestSketchRejectsDrivenNetworks(t *testing.T) {
 	fx := buildSketchFixture(t, 3)
 	pairs, _ := fx.probePairs()

@@ -21,12 +21,11 @@ type circuitTel struct {
 	sketchProbes   *telemetry.Counter // probe columns solved while building sketches
 
 	// Sketch backend selection and hierarchical-factorization shape: which
-	// backend FactorSketch resolved to, the nested-dissection depth of the
+	// backend FactorSketch built, the nested-dissection depth of the
 	// last hierarchical factor, and how many Green-table entries were
 	// actually materialized versus the dense np^2+ns*np+ns^2 equivalent
 	// (the block-sparse fill of the truncation-radius tables).
 	sketchDense      *telemetry.Counter
-	sketchCG         *telemetry.Counter
 	sketchHier       *telemetry.Counter
 	sketchDepth      *telemetry.Gauge
 	sketchTableFill  *telemetry.Gauge
@@ -51,7 +50,6 @@ func SetTelemetry(reg *telemetry.Registry) {
 		sketchProbes:   reg.Counter("circuit.sketch.probe_solves"),
 
 		sketchDense:      reg.Counter("circuit.sketch.backend_dense"),
-		sketchCG:         reg.Counter("circuit.sketch.backend_cg"),
 		sketchHier:       reg.Counter("circuit.sketch.backend_hier"),
 		sketchDepth:      reg.Gauge("circuit.sketch.nd_depth"),
 		sketchTableFill:  reg.Gauge("circuit.sketch.table_entries"),

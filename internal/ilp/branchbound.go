@@ -525,8 +525,14 @@ func SolveILPContext(ctx context.Context, p *Problem, opt ILPOptions) (Solution,
 	sol, err := solveBB(ctx, p, opt, nil, math.Inf(1), math.Inf(-1), ws)
 	if err == nil && sol.Status == Optimal && opt.Canonicalize {
 		var x []float64
-		if x, err = canonicalize(ctx, p, opt, sol.Objective, sol.X, ws); err == nil {
+		var probeNodes int64
+		x, probeNodes, err = canonicalize(ctx, p, opt, sol.Objective, sol.X, ws)
+		if err == nil {
 			sol.X = x
+		}
+		sol.Nodes += probeNodes
+		if opt.Telemetry != nil {
+			opt.Telemetry.Counter("ilp.nodes").Add(probeNodes)
 		}
 	}
 	root.End(sol.Nodes, int64(sol.Status))
@@ -543,8 +549,8 @@ func SolveILPContext(ctx context.Context, p *Problem, opt ILPOptions) (Solution,
 // and of the node order. A probe that runs out of nodes falls back to
 // the witness value, keeping the result optimal (if no longer guaranteed
 // canonical); with the target-objective pruning this is not observed in
-// practice.
-func canonicalize(ctx context.Context, p *Problem, opt ILPOptions, z float64, witness []float64, ws *Workspace) ([]float64, error) {
+// practice. It also returns the nodes its probes expanded.
+func canonicalize(ctx context.Context, p *Problem, opt ILPOptions, z float64, witness []float64, ws *Workspace) ([]float64, int64, error) {
 	w := append([]float64(nil), witness...)
 	for j := range w {
 		w[j] = math.Round(w[j])
@@ -554,6 +560,7 @@ func canonicalize(ctx context.Context, p *Problem, opt ILPOptions, z float64, wi
 		MaxNodes:          opt.MaxNodes,
 		IntegralObjective: opt.IntegralObjective,
 	}
+	var nodes int64
 	for j := 0; j < p.NumVars; j++ {
 		if w[j] == 0 {
 			// The witness is an optimal completion with x_j = 0, so the
@@ -562,12 +569,13 @@ func canonicalize(ctx context.Context, p *Problem, opt ILPOptions, z float64, wi
 			continue
 		}
 		if ctx.Err() != nil {
-			return w, nil // best effort: optimal but possibly non-canonical
+			return w, nodes, nil // best effort: optimal but possibly non-canonical
 		}
 		probe := append(append(make([]fixStep, 0, len(fixes)+1), fixes...), fixStep{j, 0})
 		sol, err := solveBB(ctx, p, probeOpt, probe, z, z, ws)
+		nodes += sol.Nodes
 		if err != nil {
-			return nil, err
+			return nil, nodes, err
 		}
 		if sol.X != nil && sol.Objective <= z+1e-7 {
 			for k, v := range sol.X {
@@ -578,7 +586,7 @@ func canonicalize(ctx context.Context, p *Problem, opt ILPOptions, z float64, wi
 			fixes = append(fixes, fixStep{j, 1})
 		}
 	}
-	return w, nil
+	return w, nodes, nil
 }
 
 // feasible checks a 0/1 assignment against all constraints.

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"snvmm/internal/telemetry"
 )
 
 // randomCoverInstance builds a small random covering-flavored 0/1 program:
@@ -154,6 +156,42 @@ func TestSolveILPCanonicalIsLexMin(t *testing.T) {
 				t.Fatalf("iter %d: canonical X diverges at x%d: %v, lex-min %v", it, j, sol.X, want)
 			}
 		}
+	}
+}
+
+// TestCanonicalizeCountsProbeNodes: the nodes the canonicalization probes
+// expand count towards Solution.Nodes and the ilp.nodes counter. Every
+// index the canonical vector keeps at 1 was probed, and a probe expands at
+// least its root, so a canonicalized solve must report at least the plain
+// search's nodes plus that many more.
+func TestCanonicalizeCountsProbeNodes(t *testing.T) {
+	p := oddCycleProblem(16)
+	plain, err := SolveILP(p, ILPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	canon, err := SolveILP(p, ILPOptions{Canonicalize: true, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canon.Status != Optimal {
+		t.Fatalf("status %v, want optimal", canon.Status)
+	}
+	probes := int64(0)
+	for _, v := range canon.X {
+		if v == 1 {
+			probes++
+		}
+	}
+	if probes == 0 {
+		t.Fatal("canonical optimum is all zero: no probe ran, test is vacuous")
+	}
+	if canon.Nodes < plain.Nodes+probes {
+		t.Fatalf("canonicalized solve reports %d nodes, want >= %d search + %d probes", canon.Nodes, plain.Nodes, probes)
+	}
+	if got := reg.Counter("ilp.nodes").Load(); got != canon.Nodes {
+		t.Fatalf("ilp.nodes counter %d, Solution.Nodes %d", got, canon.Nodes)
 	}
 }
 

@@ -100,7 +100,7 @@ type Solution struct {
 	Objective float64
 
 	// Search statistics (branch and bound only; zero for plain LP solves).
-	Nodes     int64   // branch-and-bound nodes explored
+	Nodes     int64   // branch-and-bound nodes explored, canonicalization probes included
 	BestBound float64 // best proven lower bound on the optimum
 	RelGap    float64 // (Objective-BestBound)/max(1,|Objective|); 0 when proven
 

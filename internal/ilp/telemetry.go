@@ -13,7 +13,7 @@ import (
 type ilpTel struct {
 	reg *telemetry.Registry
 
-	nodes      *telemetry.Counter // nodes expanded (canonicalization probes excluded)
+	nodes      *telemetry.Counter // nodes expanded, canonicalization probes included
 	incumbents *telemetry.Counter // incumbent improvements accepted
 
 	bestObj  *telemetry.FloatGauge // objective of the current incumbent

@@ -67,7 +67,7 @@ type Result struct {
 	Optimal  bool  // true if branch and bound proved optimality
 
 	// Search statistics from the solver.
-	Nodes     int64   // branch-and-bound nodes explored
+	Nodes     int64   // branch-and-bound nodes explored, canonicalization probes included
 	BestBound float64 // proven lower bound on the optimal PoE count
 	Gap       float64 // relative optimality gap; 0 when Optimal
 

@@ -150,19 +150,23 @@ func (c *Calibration) poeIndex(poe Cell) int {
 	return poe.Row*cols + poe.Col
 }
 
-// build does the actual per-PoE characterization work, dispatching between
-// the legacy dense path (one factorization per PoE; bit-for-bit stable, it
-// backs the 8x8 golden vectors) and the shared-sketch path that makes
-// 32x32+ devices tractable (see calibrate_sparse.go), then derives the
-// shape-cell indices the pulse path reads from either.
+// build does the actual per-PoE characterization work. Geometry alone picks
+// the path: the legacy dense path (one factorization per PoE; bit-for-bit
+// stable, it backs the 8x8 golden vectors) up to sparseCutoff cells, the
+// shared-sketch path that makes 32x32+ devices tractable above it (see
+// calibrate_sparse.go).
 func (c *Calibration) build(poe Cell, pc *poeCal) error {
-	var err error
-	if c.useSketch() {
-		err = c.buildSketch(poe, pc)
-	} else {
-		err = c.buildDense(poe, pc)
+	characterize := c.buildDense
+	if c.cfg.Cells() > sparseCutoff {
+		characterize = c.buildSketch
 	}
-	if err != nil {
+	return c.buildVia(characterize, poe, pc)
+}
+
+// buildVia characterizes one PoE through the given path, then derives the
+// shape-cell indices the pulse path reads from its record.
+func (c *Calibration) buildVia(characterize func(Cell, *poeCal) error, poe Cell, pc *poeCal) error {
+	if err := characterize(poe, pc); err != nil {
 		return err
 	}
 	pc.shapeIdx = make([]int32, len(pc.shape))
@@ -172,21 +176,10 @@ func (c *Calibration) build(poe Cell, pc *poeCal) error {
 	return nil
 }
 
-// sparseCutoff is the cell count above which CharAuto selects the sketch
-// path: 64 keeps the paper's 8x8 device — and its golden vectors — on the
-// legacy dense path.
+// sparseCutoff is the cell count above which the sketch path characterizes
+// a device: 64 keeps the paper's 8x8 device — and its golden vectors — on
+// the legacy dense path.
 const sparseCutoff = 64
-
-func (c *Calibration) useSketch() bool {
-	switch c.cfg.Characterization {
-	case CharDense:
-		return false
-	case CharSparse, CharHier:
-		return true
-	default:
-		return c.cfg.Cells() > sparseCutoff
-	}
-}
 
 // buildDense is the legacy characterization: factor the driven network of
 // this PoE and answer every complement-cell perturbation with the batched

@@ -44,11 +44,18 @@ type calSketch struct {
 
 // sketch builds (once) and returns the shared device sketch.
 func (c *Calibration) sketch() (*circuit.ProbeSketch, []float64, error) {
-	c.sk.once.Do(func() { c.sk.err = c.buildDeviceSketch() })
+	c.sk.once.Do(func() {
+		c.sk.err = c.buildDeviceSketch(c.cfg.Shape == ShapePaper && c.xb.totalNodes()-1 > hierUnknownCutoff)
+	})
 	return c.sk.sk, c.sk.dg, c.sk.err
 }
 
-func (c *Calibration) buildDeviceSketch() error {
+// buildDeviceSketch factors the device's floating sneak network and builds
+// its Green tables: hierarchical (nested-dissection order, truncation-
+// sparse tables) when hier is set, dense otherwise. sketch sets hier for
+// ShapePaper devices above hierUnknownCutoff unknowns; ShapeVoltage shapes
+// have no analytic reach to derive the sparsity from, so they stay dense.
+func (c *Calibration) buildDeviceSketch(hier bool) error {
 	cfg := c.cfg
 	cells := cfg.Cells()
 	midR := c.xb.midR()
@@ -71,21 +78,13 @@ func (c *Calibration) buildDeviceSketch() error {
 	for col := 0; col < cfg.Cols; col++ {
 		singles[cfg.Rows+col] = c.xb.colTerm(col)
 	}
-	// Supply nested-dissection ordering and truncation-sparsity hints when
-	// the hierarchical backend is forced or in reach of the auto selection.
-	// ShapeVoltage shapes have no analytic reach, so they stay on the
-	// dense/CG backends (CharHier+ShapeVoltage is rejected by Validate).
-	opt := circuit.SketchOptions{HierLimit: hierUnknownCutoff}
-	hierForced := cfg.Characterization == CharHier
-	if hierForced && cfg.Shape != ShapePaper {
-		return fmt.Errorf("xbar: CharHier needs ShapePaper")
-	}
-	if hierForced || (cfg.Shape == ShapePaper && c.xb.totalNodes()-1 > hierUnknownCutoff) {
+	var opt circuit.SketchOptions
+	if hier {
+		if cfg.Shape != ShapePaper {
+			return fmt.Errorf("xbar: hierarchical characterization needs ShapePaper")
+		}
 		opt.Order = c.xb.dissectionOrder()
 		opt.Sparsity = c.buildHierSparsity()
-		if hierForced {
-			opt.Backend = circuit.SketchHier
-		}
 	}
 	sk, err := nw.FactorSketch(pairs, singles, opt)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"snvmm/internal/circuit"
 	"snvmm/internal/device"
 )
 
@@ -22,6 +23,53 @@ func calFor(t *testing.T, cfg Config, poe Cell) (*Calibration, *poeCal) {
 	return c, &c.poes[cfg.Index(poe)]
 }
 
+// charPath names one characterization route. The cross-validation tests
+// compare routes that the geometry dispatch in build would not pick for
+// the device at hand, so they reach them through the unexported builders.
+type charPath int
+
+const (
+	viaDense  charPath = iota // per-PoE dense factorization (buildDense)
+	viaSketch                 // dense-table device sketch (buildSketch)
+	viaHier                   // hierarchical device sketch (buildSketch)
+)
+
+// primeSketch builds c's shared device sketch on the chosen backend before
+// any PoE reads it, so every later sketch-path build of c runs on it.
+func primeSketch(t *testing.T, c *Calibration, hier bool) {
+	t.Helper()
+	c.sk.once.Do(func() { c.sk.err = c.buildDeviceSketch(hier) })
+	if c.sk.err != nil {
+		t.Fatal(c.sk.err)
+	}
+}
+
+// calVia characterizes poe through path p, whatever the device's geometry
+// would select, and leaves the record in place as if ensure had built it.
+func calVia(t *testing.T, cfg Config, poe Cell, p charPath) (*Calibration, *poeCal) {
+	t.Helper()
+	x, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Calibrate(x)
+	characterize := c.buildSketch
+	switch p {
+	case viaDense:
+		characterize = c.buildDense
+	case viaSketch:
+		primeSketch(t, c, false)
+	case viaHier:
+		primeSketch(t, c, true)
+	}
+	pc := &c.poes[cfg.Index(poe)]
+	pc.once.Do(func() { pc.err = c.buildVia(characterize, poe, pc) })
+	if pc.err != nil {
+		t.Fatal(pc.err)
+	}
+	return c, pc
+}
+
 func sizedConfig(rows, cols int) Config {
 	cfg := DefaultConfig()
 	cfg.Rows, cfg.Cols = rows, cols
@@ -35,18 +83,15 @@ func sizedConfig(rows, cols int) Config {
 // ~1e-8 relative, so a tight relative bound is meaningful.
 func TestSketchMatchesDenseCalibration(t *testing.T) {
 	for _, size := range []struct{ rows, cols int }{{8, 8}, {16, 16}} {
-		cfgDense := sizedConfig(size.rows, size.cols)
-		cfgDense.Characterization = CharDense
-		cfgSparse := sizedConfig(size.rows, size.cols)
-		cfgSparse.Characterization = CharSparse
+		cfg := sizedConfig(size.rows, size.cols)
 		poes := []Cell{
 			{Row: 0, Col: 0},
 			{Row: size.rows / 2, Col: size.cols / 2},
 			{Row: size.rows - 1, Col: size.cols / 3},
 		}
 		for _, poe := range poes {
-			_, pcD := calFor(t, cfgDense, poe)
-			_, pcS := calFor(t, cfgSparse, poe)
+			_, pcD := calVia(t, cfg, poe, viaDense)
+			_, pcS := calVia(t, cfg, poe, viaSketch)
 			if len(pcD.shape) != len(pcS.shape) {
 				t.Fatalf("%dx%d PoE %+v: shape size %d vs %d", size.rows, size.cols, poe, len(pcD.shape), len(pcS.shape))
 			}
@@ -83,36 +128,46 @@ func TestSketchMatchesDenseCalibration(t *testing.T) {
 	}
 }
 
-// TestCharAutoSelection pins the mode dispatch: at 8x8 CharAuto must take
-// the dense path (golden-vector compatibility — band edges match the legacy
-// sampled estimator bit for bit), at 16x16 the sketch path (edges match the
-// CLT estimator).
-func TestCharAutoSelection(t *testing.T) {
+// TestCharacterizationDispatch pins the path geometry selects: 8x8 takes
+// the per-PoE dense path (golden-vector compatibility — band edges match
+// buildDense's sampled estimator bit for bit) and builds no device sketch;
+// 16x16 takes the dense-table sketch, 24x24 the hierarchical sketch, and a
+// ShapeVoltage device, whose shapes have no analytic reach, the dense-table
+// sketch.
+func TestCharacterizationDispatch(t *testing.T) {
 	poe := Cell{Row: 3, Col: 4}
 
-	auto8, pcAuto8 := calFor(t, sizedConfig(8, 8), poe)
-	cfgD := sizedConfig(8, 8)
-	cfgD.Characterization = CharDense
-	_, pcD8 := calFor(t, cfgD, poe)
-	if auto8.useSketch() {
-		t.Fatal("8x8 CharAuto selected the sketch path")
+	c8, pc8 := calFor(t, sizedConfig(8, 8), poe)
+	if c8.sk.sk != nil {
+		t.Fatal("8x8 built a device sketch")
 	}
-	for k := range pcAuto8.edges {
-		if pcAuto8.edges[k] != pcD8.edges[k] {
-			t.Fatalf("8x8 auto vs dense edges differ at %d: %v vs %v", k, pcAuto8.edges[k], pcD8.edges[k])
+	_, pcD8 := calVia(t, sizedConfig(8, 8), poe, viaDense)
+	if len(pc8.edges) != len(pcD8.edges) {
+		t.Fatalf("8x8 shape size %d vs buildDense %d", len(pc8.edges), len(pcD8.edges))
+	}
+	for k := range pc8.edges {
+		if pc8.edges[k] != pcD8.edges[k] {
+			t.Fatalf("8x8 edges differ from buildDense at %d: %v vs %v", k, pc8.edges[k], pcD8.edges[k])
 		}
 	}
 
-	auto16, pcAuto16 := calFor(t, sizedConfig(16, 16), poe)
-	cfgS := sizedConfig(16, 16)
-	cfgS.Characterization = CharSparse
-	_, pcS16 := calFor(t, cfgS, poe)
-	if !auto16.useSketch() {
-		t.Fatal("16x16 CharAuto selected the dense path")
-	}
-	for k := range pcAuto16.edges {
-		if pcAuto16.edges[k] != pcS16.edges[k] {
-			t.Fatalf("16x16 auto vs sketch edges differ at %d: %v vs %v", k, pcAuto16.edges[k], pcS16.edges[k])
+	voltage := sizedConfig(12, 12)
+	voltage.Shape = ShapeVoltage
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want circuit.SketchBackend
+	}{
+		{"16x16", sizedConfig(16, 16), circuit.SketchDense},
+		{"24x24", sizedConfig(24, 24), circuit.SketchHier},
+		{"12x12 ShapeVoltage", voltage, circuit.SketchDense},
+	} {
+		c, _ := calFor(t, tc.cfg, poe)
+		if c.sk.sk == nil {
+			t.Fatalf("%s took the per-PoE dense path", tc.name)
+		}
+		if got := c.sk.sk.Backend(); got != tc.want {
+			t.Fatalf("%s sketch backend = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -125,14 +180,12 @@ func TestCharAutoSelection(t *testing.T) {
 func TestTruncatedDeviationsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, size := range []struct{ rows, cols int }{{8, 8}, {16, 16}} {
-		cfgTrunc := sizedConfig(size.rows, size.cols)
-		cfgTrunc.Characterization = CharSparse // default truncation tolerance
+		cfgTrunc := sizedConfig(size.rows, size.cols) // default truncation tolerance
 		cfgFull := sizedConfig(size.rows, size.cols)
-		cfgFull.Characterization = CharSparse
 		cfgFull.TruncationTol = math.SmallestNonzeroFloat64 // never stops early
 		poe := Cell{Row: size.rows / 2, Col: 1}
-		_, pcT := calFor(t, cfgTrunc, poe)
-		_, pcF := calFor(t, cfgFull, poe)
+		_, pcT := calVia(t, cfgTrunc, poe, viaSketch)
+		_, pcF := calVia(t, cfgFull, poe, viaSketch)
 		if len(pcT.compIdx) != len(pcF.compIdx) {
 			t.Fatalf("%dx%d: truncated compIdx %d vs full %d", size.rows, size.cols, len(pcT.compIdx), len(pcF.compIdx))
 		}
@@ -169,13 +222,11 @@ func TestTruncatedDeviationsBitIdentical(t *testing.T) {
 // swept cell is characterized.
 func TestTruncationRadiusKeepsExactWeights(t *testing.T) {
 	cfgFull := sizedConfig(16, 16)
-	cfgFull.Characterization = CharSparse
 	cfgCap := sizedConfig(16, 16)
-	cfgCap.Characterization = CharSparse
 	cfgCap.TruncationRadius = 5
 	poe := Cell{Row: 8, Col: 8}
-	_, pcF := calFor(t, cfgFull, poe)
-	_, pcC := calFor(t, cfgCap, poe)
+	_, pcF := calVia(t, cfgFull, poe, viaSketch)
+	_, pcC := calVia(t, cfgCap, poe, viaSketch)
 	if len(pcC.compIdx) >= len(pcF.compIdx) {
 		t.Fatalf("radius cap did not truncate: %d vs %d complement cells", len(pcC.compIdx), len(pcF.compIdx))
 	}
@@ -209,9 +260,8 @@ func TestTruncationTolMonotonicity(t *testing.T) {
 	strictGrowth := false
 	for i, tol := range tols {
 		cfg := sizedConfig(16, 16)
-		cfg.Characterization = CharSparse
 		cfg.TruncationTol = tol
-		_, pc := calFor(t, cfg, poe)
+		_, pc := calVia(t, cfg, poe, viaSketch)
 		cur := make(map[int32]bool, len(pc.compIdx))
 		for _, m := range pc.compIdx {
 			cur[m] = true

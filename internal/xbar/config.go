@@ -48,26 +48,6 @@ const (
 	ShapeVoltage
 )
 
-// CharMode selects the calibration build path (see DESIGN.md,
-// "Locality-truncated characterization").
-type CharMode int
-
-const (
-	// CharAuto picks the dense per-PoE path for small devices (<= 64
-	// cells, the paper's 8x8) and the sketch path above that.
-	CharAuto CharMode = iota
-	// CharDense forces the legacy per-PoE dense factorization at any size.
-	CharDense
-	// CharSparse forces the shared-sketch path at any size.
-	CharSparse
-	// CharHier forces the sketch path with the hierarchical (nested-
-	// dissection, block-sparse Green table) backend at any size. Requires
-	// ShapePaper: the truncation sparsity is derived from the analytic
-	// polyomino reach. Under CharAuto and CharSparse the hierarchical
-	// backend is selected automatically above ~1024 unknowns (24x24+).
-	CharHier
-)
-
 // Config describes a crossbar instance.
 type Config struct {
 	Rows, Cols int
@@ -96,11 +76,6 @@ type Config struct {
 	// VertReach/HorizReach control the ShapePaper footprint.
 	VertReach  int
 	HorizReach int
-
-	// Characterization selects the calibration build path. The default
-	// (CharAuto) preserves the paper's 8x8 golden vectors bit-for-bit via
-	// the dense path while larger devices take the sketch path.
-	Characterization CharMode
 
 	// TruncationTol bounds the sketch path's adaptive sensitivity sweep:
 	// the Chebyshev-ring sweep around each PoE stops once a completed ring
@@ -152,15 +127,6 @@ func (c Config) Validate() error {
 	}
 	if c.Shape == ShapePaper && (c.VertReach < 0 || c.HorizReach < 0) {
 		return fmt.Errorf("xbar: negative reach")
-	}
-	switch c.Characterization {
-	case CharAuto, CharDense, CharSparse:
-	case CharHier:
-		if c.Shape != ShapePaper {
-			return fmt.Errorf("xbar: CharHier needs ShapePaper (the truncation sparsity is derived from the analytic polyomino reach)")
-		}
-	default:
-		return fmt.Errorf("xbar: unknown characterization mode %d", c.Characterization)
 	}
 	if c.TruncationTol < 0 {
 		return fmt.Errorf("xbar: negative truncation tolerance %g", c.TruncationTol)

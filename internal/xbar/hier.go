@@ -4,8 +4,8 @@ import (
 	"snvmm/internal/circuit"
 )
 
-// The hierarchical characterization path (CharHier, and CharAuto/CharSparse
-// above hierUnknownCutoff unknowns). The crossbar's sneak network is a
+// The hierarchical characterization path (ShapePaper devices above
+// hierUnknownCutoff unknowns). The crossbar's sneak network is a
 // Rows x Cols grid of (row-junction, column-junction) vertex pairs: row
 // wires chain row junctions along a row, column wires chain column
 // junctions along a column, and each cell's memristor+access edge bridges
@@ -31,11 +31,9 @@ import (
 // while bounding per-PoE work and table fill by a constant.
 const defaultHierRadius = 8
 
-// hierUnknownCutoff is the unknown count above which CharAuto/CharSparse
-// supply ordering and sparsity hints so the sketch auto-selects the
-// hierarchical backend. It matches the circuit layer's default HierLimit:
-// 16x16 (544 unknowns) stays on the bit-stable dense backend, 24x24 (1200)
-// and up go hierarchical.
+// hierUnknownCutoff is the unknown count above which a ShapePaper device's
+// sketch is hierarchical: 16x16 (544 unknowns) stays on the bit-stable
+// dense backend, 24x24 (1200) and up go hierarchical.
 const hierUnknownCutoff = 1024
 
 // hierTruncRadius is the effective Chebyshev sweep radius of the

@@ -40,19 +40,12 @@ func TestDissectionOrderIsPermutation(t *testing.T) {
 // (8) covers the whole array: same physics through a third solver route.
 // Tolerances mirror TestSketchMatchesDenseCalibration.
 func TestHierMatchesDenseCalibration(t *testing.T) {
-	cfgDense := sizedConfig(8, 8)
-	cfgDense.Characterization = CharDense
-	cfgHier := sizedConfig(8, 8)
-	cfgHier.Characterization = CharHier
+	cfg := sizedConfig(8, 8)
 	for _, poe := range []Cell{{Row: 0, Col: 0}, {Row: 4, Col: 4}, {Row: 7, Col: 2}} {
-		_, pcD := calFor(t, cfgDense, poe)
-		cH, pcH := calFor(t, cfgHier, poe)
-		sk, _, err := cH.sketch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sk.Backend() != circuit.SketchHier {
-			t.Fatalf("CharHier resolved to backend %v", sk.Backend())
+		_, pcD := calVia(t, cfg, poe, viaDense)
+		cH, pcH := calVia(t, cfg, poe, viaHier)
+		if b := cH.sk.sk.Backend(); b != circuit.SketchHier {
+			t.Fatalf("primed hierarchical sketch has backend %v", b)
 		}
 		if len(pcD.shape) != len(pcH.shape) {
 			t.Fatalf("PoE %+v: shape size %d vs %d", poe, len(pcD.shape), len(pcH.shape))
@@ -88,13 +81,11 @@ func TestHierMatchesDenseCalibration(t *testing.T) {
 // factorization round-off.
 func TestHierMatchesSketch16(t *testing.T) {
 	cfgS := sizedConfig(16, 16)
-	cfgS.Characterization = CharSparse
 	cfgH := sizedConfig(16, 16)
-	cfgH.Characterization = CharHier
 	cfgH.TruncationRadius = 15 // >= fullRad of every PoE: no truncation
 	for _, poe := range []Cell{{Row: 8, Col: 8}, {Row: 0, Col: 15}} {
-		_, pcS := calFor(t, cfgS, poe)
-		_, pcH := calFor(t, cfgH, poe)
+		_, pcS := calVia(t, cfgS, poe, viaSketch)
+		_, pcH := calVia(t, cfgH, poe, viaHier)
 		if len(pcS.compIdx) != len(pcH.compIdx) {
 			t.Fatalf("PoE %+v: compIdx %d vs %d cells", poe, len(pcS.compIdx), len(pcH.compIdx))
 		}
@@ -122,14 +113,12 @@ func TestHierMatchesSketch16(t *testing.T) {
 // which other entries the sparsity materializes.
 func TestHierTruncationKeepsExactWeights(t *testing.T) {
 	cfgWide := sizedConfig(16, 16)
-	cfgWide.Characterization = CharHier
 	cfgWide.TruncationRadius = 12
 	cfgNarrow := sizedConfig(16, 16)
-	cfgNarrow.Characterization = CharHier
 	cfgNarrow.TruncationRadius = 4
 	poe := Cell{Row: 8, Col: 8}
-	_, pcW := calFor(t, cfgWide, poe)
-	_, pcN := calFor(t, cfgNarrow, poe)
+	_, pcW := calVia(t, cfgWide, poe, viaHier)
+	_, pcN := calVia(t, cfgNarrow, poe, viaHier)
 	if len(pcN.compIdx) >= len(pcW.compIdx) {
 		t.Fatalf("radius 4 did not truncate: %d vs %d complement cells", len(pcN.compIdx), len(pcW.compIdx))
 	}
@@ -149,8 +138,8 @@ func TestHierTruncationKeepsExactWeights(t *testing.T) {
 	}
 }
 
-// hierSketchFor builds just the shared device sketch (no per-PoE sweeps)
-// for a CharHier config.
+// hierSketchFor builds just the shared hierarchical device sketch (no
+// per-PoE sweeps) for cfg.
 func hierSketchFor(t *testing.T, cfg Config) *circuit.ProbeSketch {
 	t.Helper()
 	x, err := New(cfg)
@@ -158,14 +147,11 @@ func hierSketchFor(t *testing.T, cfg Config) *circuit.ProbeSketch {
 		t.Fatal(err)
 	}
 	c := Calibrate(x)
-	sk, _, err := c.sketch()
-	if err != nil {
-		t.Fatal(err)
+	primeSketch(t, c, true)
+	if b := c.sk.sk.Backend(); b != circuit.SketchHier {
+		t.Fatalf("expected hierarchical backend, got %v", b)
 	}
-	if sk.Backend() != circuit.SketchHier {
-		t.Fatalf("expected hierarchical backend, got %v", sk.Backend())
-	}
-	return sk
+	return c.sk.sk
 }
 
 // TestHierTableMemoryAccounting pins the tentpole's memory claim: Green-
@@ -175,7 +161,6 @@ func hierSketchFor(t *testing.T, cfg Config) *circuit.ProbeSketch {
 func TestHierTableMemoryAccounting(t *testing.T) {
 	bytesAt := func(rows, cols, radius int) int64 {
 		cfg := sizedConfig(rows, cols)
-		cfg.Characterization = CharHier
 		cfg.TruncationRadius = radius
 		return hierSketchFor(t, cfg).TableBytes()
 	}
@@ -197,11 +182,11 @@ func TestHierTableMemoryAccounting(t *testing.T) {
 }
 
 // TestHierPulseRoundTrip: end-to-end SPE invertibility through the
-// hierarchical path — a pulse train applied through a CharHier calibration
-// must be exactly undone by the inverse classes in reverse order.
+// hierarchical path — a pulse train applied through a calibration whose
+// device sketch is hierarchical must be exactly undone by the inverse
+// classes in reverse order.
 func TestHierPulseRoundTrip(t *testing.T) {
 	cfg := sizedConfig(16, 16)
-	cfg.Characterization = CharHier
 	x, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -215,6 +200,7 @@ func TestHierPulseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cal := Calibrate(x)
+	primeSketch(t, cal, true)
 	type step struct {
 		poe   Cell
 		class int
@@ -251,26 +237,11 @@ func TestHierPulseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCharHierValidation: CharHier is incompatible with voltage-threshold
-// shapes (no analytic truncation footprint).
-func TestCharHierValidation(t *testing.T) {
-	cfg := sizedConfig(8, 8)
-	cfg.Characterization = CharHier
-	cfg.Shape = ShapeVoltage
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("CharHier+ShapeVoltage validated")
-	}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("CharHier+ShapeVoltage crossbar built")
-	}
-}
-
 // TestHierSparsityWellFormed: the generated sparsity rows are strictly
 // ascending, self-inclusive and symmetric — the invariants the circuit
 // layer validates — and the window is always contained in them.
 func TestHierSparsityWellFormed(t *testing.T) {
 	cfg := sizedConfig(12, 9)
-	cfg.Characterization = CharHier
 	cfg.TruncationRadius = 3
 	x, err := New(cfg)
 	if err != nil {

@@ -157,23 +157,25 @@ func TestMonteCarloErrorZeroResult(t *testing.T) {
 }
 
 // TestWarmAllParallelHier is the parallel hierarchical ring sweep under
-// the race detector: a multi-worker WarmAll over a CharHier device (each
-// worker claiming chunks of PoEs, all sharing the device sketch and the
-// pooled per-PoE scratch) must produce exactly the records a lazy
-// single-threaded build would. GOMAXPROCS and the host CPU count are
-// pinned to 4 so the worker clamp cannot collapse the fan-out on a smaller
-// host.
+// the race detector: a multi-worker WarmAll over a device whose sketch is
+// hierarchical (each worker claiming chunks of PoEs, all sharing the
+// device sketch and the pooled per-PoE scratch) must produce exactly the
+// records a lazy single-threaded build would. The device is 16x16, the
+// smallest geometry on the sketch path; its sketch is primed hierarchical.
+// GOMAXPROCS and the host CPU count are pinned to 4 so the worker clamp
+// cannot collapse the fan-out on a smaller host.
 func TestWarmAllParallelHier(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	defer sched.PinHostCPUs(4)()
-	cfg := DefaultConfig()
-	cfg.Characterization = CharHier
+	cfg := sizedConfig(16, 16)
 	warm := newCal(t, cfg)
+	primeSketch(t, warm, true)
 	if err := warm.WarmAll(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
 	lazy := newCal(t, cfg)
+	primeSketch(t, lazy, true)
 	for _, i := range []int{0, cfg.Cells() / 2, cfg.Cells() - 1} {
 		poe := cfg.CellAt(i)
 		ws, err := warm.Shape(poe)
